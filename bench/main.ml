@@ -495,9 +495,9 @@ let catchfire_table () =
           M.refines ~src:rs.M.behaviors ~tgt:rt.M.behaviors
         in
         let cf_ok =
-          let rs = Baselines.Catchfire.explore (th src) in
-          let rt = Baselines.Catchfire.explore (th tgt) in
-          Baselines.Catchfire.refines ~src:rs ~tgt:rt
+          let rs = Backends.Catchfire.explore (th src) in
+          let rt = Backends.Catchfire.explore (th tgt) in
+          Backends.Backend.refines ~src:rs ~tgt:rt
         in
         jrows :=
           J.Obj

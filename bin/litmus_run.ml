@@ -207,14 +207,19 @@ let run input promises batch max_states compare_baselines named all grid
            (if r.Backends.Backend.races then ", races observed" else "")
            Promising.Machine.pp_behaviors r.Backends.Backend.behaviors);
     if compare_baselines then begin
-      let sc = Baselines.Sc.explore progs in
-      Fmt.pr "SC behaviors (%d states%s):@.  %a@." sc.Baselines.Sc.states
-        (if sc.Baselines.Sc.races then ", races" else "")
-        Promising.Machine.pp_behaviors sc.Baselines.Sc.behaviors;
-      let cf = Baselines.Catchfire.explore progs in
-      Fmt.pr "catch-fire: %s@."
-        (if cf.Baselines.Catchfire.catches_fire then "UB (data race)"
-         else "race-free")
+      (* one SC run under the run's budget; catch-fire (SC plus ⊥ on a
+         race) is read off the same result *)
+      match Backends.Sc.explore ~max_states ~budget progs with
+      | exception Engine.Budget.Exhausted reason ->
+        Fmt.pr "UNKNOWN(%s)@." (Engine.Budget.reason_to_string reason);
+        raise Exit
+      | sc ->
+        Fmt.pr "SC behaviors (%d states%s%s):@.  %a@." sc.Backends.Backend.states
+          (if sc.Backends.Backend.truncated then ", TRUNCATED" else "")
+          (if sc.Backends.Backend.races then ", races" else "")
+          Promising.Machine.pp_behaviors sc.Backends.Backend.behaviors;
+        Fmt.pr "catch-fire: %s@."
+          (if sc.Backends.Backend.races then "UB (data race)" else "race-free")
     end;
     0
   with

@@ -12,15 +12,14 @@ open Lang
 let show name text =
   let progs = Parser.threads_of_string text in
   let ps = Ps.Machine.explore progs in
-  let sc = Baselines.Sc.explore progs in
-  let cf = Baselines.Catchfire.explore progs in
+  let sc = Backends.Sc.explore progs in
   Fmt.pr "== %s ==@." name;
   Fmt.pr "  PS_na (%4d states): %a@." ps.Ps.Machine.states
     Ps.Machine.pp_behaviors ps.Ps.Machine.behaviors;
-  Fmt.pr "  SC    (%4d states): %a@." sc.Baselines.Sc.states
-    Ps.Machine.pp_behaviors sc.Baselines.Sc.behaviors;
+  Fmt.pr "  SC    (%4d states): %a@." sc.Backends.Backend.states
+    Ps.Machine.pp_behaviors sc.Backends.Backend.behaviors;
   Fmt.pr "  catch-fire: %s@.@."
-    (if cf.Baselines.Catchfire.catches_fire then "UB — the program races"
+    (if sc.Backends.Backend.races then "UB — the program races"
      else "race-free, SC behaviors");
   ps
 

@@ -13,14 +13,4 @@
     LB-style outcomes are not exhibited; not multi-copy-atomic, so
     IRIW-style outcomes are — both documented in docs/BACKENDS.md. *)
 
-open Lang
-
-val name : string
-
-(** Exhaustive bounded exploration; see {!Backend.MACHINE}. *)
-val explore :
-  ?values:Value.t list ->
-  ?max_states:int ->
-  ?budget:Engine.Budget.t ->
-  Stmt.t list ->
-  Backend.result
+include Backend.MACHINE

@@ -5,8 +5,8 @@
     enumerated exhaustively over a finite value domain.  The zoo behind
     this signature spans the strength spectrum:
 
-    - [sc] — sequentially consistent interleaving ({!Baselines.Sc});
-    - [catchfire] — SC where any data race is UB ({!Baselines.Catchfire});
+    - [sc] — sequentially consistent interleaving ({!Sc});
+    - [catchfire] — SC where any data race is UB ({!Catchfire});
     - [tso] — x86-TSO with per-thread FIFO store buffers ({!Tso});
     - [armv8] — ARMv8-flavoured local reordering ({!Armv8});
     - [ps] — the paper's PS_na promising machine ({!Promising.Machine}).
@@ -14,7 +14,9 @@
     All backends share {!Promising.Machine.Behavior_set}, so behavior
     sets from different models compare directly — that is what the E15
     differential grid and the SC ⊆ TSO ⊆ ARMv8 inclusion property are
-    built on.  See docs/BACKENDS.md. *)
+    built on.  The interleaving machines ([sc], [tso], [armv8]) are one
+    search over different step relations ({!Explore}).  See
+    docs/BACKENDS.md. *)
 
 open Lang
 
@@ -53,8 +55,7 @@ module type MACHINE = sig
     result
 end
 
-(** Default exploration parameters, shared by every backend (they match
-    {!Baselines.Sc.explore}). *)
+(** Default exploration parameters, shared by every backend. *)
 val default_values : Value.t list
 
 val default_max_states : int

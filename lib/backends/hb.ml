@@ -1,21 +1,43 @@
-(** Happens-before data-race detection shared by the hardware machines.
-
-    This is the SC baseline's vector-clock discipline
-    ({!Baselines.Sc}) factored into a self-contained component the
-    store-buffer machines thread through their states: synchronization
-    order (release/acquire edges, RMWs, fences) is the same under SC,
-    TSO and ARMv8 — buffering relaxes {e visibility}, not happens-before
-    — so the race verdicts of all backends use one definition: a race is
-    a conflicting unordered pair with at least one non-atomic access
-    (§5).
+(** Happens-before data-race detection, the one race detector every
+    interleaving machine ({!Sc}, {!Tso}, {!Armv8}) threads through its
+    states: synchronization order (release/acquire edges, RMWs, fences)
+    is the same under SC, TSO and ARMv8 — buffering relaxes
+    {e visibility}, not happens-before — so the race verdicts of all
+    backends use one definition: a race is a conflicting unordered pair
+    with at least one non-atomic access (§5).
 
     The per-location access history ([meta]) is deliberately excluded
-    from {!compare}, mirroring {!Baselines.Sc.State_key}: it is a
-    function of the history already summarised by (clocks, raced) for
-    exploration purposes. *)
+    from {!compare}: it is a function of the history already summarised
+    by (clocks, raced) for exploration purposes. *)
 
 open Lang
-module Vclock = Baselines.Vclock
+
+(* Vector clocks, index = thread id. *)
+module Vclock = struct
+  type t = int array
+
+  let make n = Array.make n 0
+
+  (* A thread's own component starts at 1 so that its accesses are
+     unordered with other threads' initial clocks (epochs at 0 would be
+     vacuously ordered). *)
+  let init_thread n tid =
+    let c = Array.make n 0 in
+    c.(tid) <- 1;
+    c
+
+  let tick (c : t) tid =
+    let c = Array.copy c in
+    c.(tid) <- c.(tid) + 1;
+    c
+
+  let join (a : t) (b : t) : t = Array.mapi (fun i x -> max x b.(i)) a
+
+  (* epoch (tid, clock) ≤ vector clock *)
+  let epoch_le (tid, clk) (c : t) = clk <= c.(tid)
+  let le (a : t) (b : t) = Array.for_all2 ( <= ) a b
+  let compare (a : t) (b : t) = Stdlib.compare a b
+end
 
 type loc_meta = {
   w_na : (int * int) option;  (* epoch of last non-atomic write *)
@@ -30,6 +52,8 @@ type t = {
   clocks : Vclock.t list;
   meta : loc_meta Loc.Map.t;
   raced : bool;
+  strict : Loc.Set.t;
+      (* locations with a conflicting unordered pair of any access modes *)
 }
 
 let make n =
@@ -38,9 +62,11 @@ let make n =
     clocks = List.init n (fun tid -> Vclock.init_thread n tid);
     meta = Loc.Map.empty;
     raced = false;
+    strict = Loc.Set.empty;
   }
 
 let raced h = h.raced
+let strict_races h = h.strict
 
 let empty_meta n =
   {
@@ -55,20 +81,28 @@ let get_meta h x = Loc.Map.find_default ~default:(empty_meta h.n) x h.meta
 let epoch_ok e c = match e with None -> true | Some ep -> Vclock.epoch_le ep c
 let set_nth l i v = List.mapi (fun j x -> if j = i then v else x) l
 
-let racy_read h tid x ~atomic =
-  let m = get_meta h x in
-  let c = List.nth h.clocks tid in
-  if atomic then not (epoch_ok m.w_na c)
-  else not (epoch_ok m.w_na c && epoch_ok m.w_at c)
+(* Record a race check's outcome: [racy] under the access's own mode,
+   [strict] as if it were non-atomic. *)
+let note h x ~racy ~strict =
+  {
+    h with
+    raced = h.raced || racy;
+    strict = (if strict then Loc.Set.add x h.strict else h.strict);
+  }
 
-let racy_write h tid x ~atomic =
+let check_read h tid x ~atomic =
   let m = get_meta h x in
   let c = List.nth h.clocks tid in
-  if atomic then not (epoch_ok m.w_na c && Vclock.le m.r_na c)
-  else
-    not
-      (epoch_ok m.w_na c && epoch_ok m.w_at c && Vclock.le m.r_na c
-     && Vclock.le m.r_at c)
+  let na_ok = epoch_ok m.w_na c in
+  let strict = not (na_ok && epoch_ok m.w_at c) in
+  note h x ~racy:(if atomic then not na_ok else strict) ~strict
+
+let check_write h tid x ~atomic =
+  let m = get_meta h x in
+  let c = List.nth h.clocks tid in
+  let na_ok = epoch_ok m.w_na c && Vclock.le m.r_na c in
+  let strict = not (na_ok && epoch_ok m.w_at c && Vclock.le m.r_at c) in
+  note h x ~racy:(if atomic then not na_ok else strict) ~strict
 
 let record_read h tid x ~atomic =
   let m = get_meta h x in
@@ -100,23 +134,18 @@ let do_release h tid x =
   let m = { m with release = Vclock.join m.release c } in
   { h with meta = Loc.Map.add x m h.meta }
 
-(** A read access: race check against the pre-state, acquire
-    synchronisation when [acq], then history recording — the same order
-    as the SC baseline. *)
 let read h ~tid x ~atomic ~acq =
-  let h = { h with raced = h.raced || racy_read h tid x ~atomic } in
+  let h = check_read h tid x ~atomic in
   let h = if acq then do_acquire h tid x else h in
   record_read h tid x ~atomic
 
 let write h ~tid x ~atomic ~rel =
-  let h = { h with raced = h.raced || racy_write h tid x ~atomic } in
+  let h = check_write h tid x ~atomic in
   let h = if rel then do_release h tid x else h in
   record_write h tid x ~atomic
 
-(** An RMW: an atomic acquire read, plus a release write when [write]
-    (a failed CAS is read-only). *)
 let update h ~tid x ~write =
-  let h = { h with raced = h.raced || racy_write h tid x ~atomic:true } in
+  let h = check_write h tid x ~atomic:true in
   let h = do_acquire h tid x in
   if not write then record_read h tid x ~atomic:true
   else
@@ -124,8 +153,7 @@ let update h ~tid x ~write =
     let h = record_read h tid x ~atomic:true in
     record_write h tid x ~atomic:true
 
-(* Fences synchronise through a distinguished token location, as in the
-   SC baseline. *)
+(* Fences synchronise through a distinguished token location. *)
 let fence h ~tid (m : Mode.fence) =
   let tok = Loc.make "__fence__" in
   match m with
@@ -136,3 +164,7 @@ let fence h ~tid (m : Mode.fence) =
 let compare h1 h2 =
   let c = List.compare Vclock.compare h1.clocks h2.clocks in
   if c <> 0 then c else Bool.compare h1.raced h2.raced
+
+let compare_strict h1 h2 =
+  let c = compare h1 h2 in
+  if c <> 0 then c else Loc.Set.compare h1.strict h2.strict

@@ -1,47 +1,6 @@
 (** The backend registry: every machine behind {!Backend.MACHINE}, by
     name (see registry.mli). *)
 
-(** SC as a backend: {!Baselines.Sc} behind the shared signature.  The
-    underlying explorer predates budgets; the whole exploration is
-    charged to [budget] after the fact (checked up front so an
-    already-exhausted budget still stops immediately). *)
-module Sc_machine : Backend.MACHINE = struct
-  let name = "sc"
-
-  let explore ?values ?max_states ?(budget = Engine.Budget.unlimited) progs =
-    Engine.Budget.check budget;
-    let r = Baselines.Sc.explore ?values ?max_states progs in
-    Engine.Budget.spend_state ~n:r.Baselines.Sc.states budget;
-    {
-      Backend.behaviors = r.Baselines.Sc.behaviors;
-      races = r.Baselines.Sc.races;
-      truncated = r.Baselines.Sc.truncated;
-      states = r.Baselines.Sc.states;
-    }
-end
-
-(** Catch-fire as a backend: the SC behaviors, plus ⊥ whenever any
-    interleaving races ({!Baselines.Catchfire}). *)
-module Catchfire_machine : Backend.MACHINE = struct
-  let name = "catchfire"
-
-  let explore ?values ?max_states ?(budget = Engine.Budget.unlimited) progs =
-    Engine.Budget.check budget;
-    let r = Baselines.Sc.explore ?values ?max_states progs in
-    Engine.Budget.spend_state ~n:r.Baselines.Sc.states budget;
-    let behaviors =
-      if r.Baselines.Sc.races then
-        Backend.Behavior_set.add Backend.Bot r.Baselines.Sc.behaviors
-      else r.Baselines.Sc.behaviors
-    in
-    {
-      Backend.behaviors;
-      races = r.Baselines.Sc.races;
-      truncated = r.Baselines.Sc.truncated;
-      states = r.Baselines.Sc.states;
-    }
-end
-
 (** PS_na as a backend: {!Promising.Machine} behind the shared
     signature.  [values] selects nothing there (PS_na reads from
     messages, and [choose()] already ranges over the machine's fixed
@@ -64,15 +23,12 @@ module Ps_machine : Backend.MACHINE = struct
     }
 end
 
-module Tso_machine : Backend.MACHINE = Tso
-module Armv8_machine : Backend.MACHINE = Armv8
-
 let all : (module Backend.MACHINE) list =
   [
-    (module Sc_machine);
-    (module Catchfire_machine);
-    (module Tso_machine);
-    (module Armv8_machine);
+    (module Sc);
+    (module Catchfire);
+    (module Tso);
+    (module Armv8);
     (module Ps_machine);
   ]
 

@@ -2,21 +2,12 @@
     name.  CLI drivers validate [--backend] against {!names} (via
     {!Engine.Cliopts.validate_choice}) and dispatch via {!find}. *)
 
-(** The SC baseline ({!Baselines.Sc}) behind the shared signature. *)
-module Sc_machine : Backend.MACHINE
-
-(** The catch-fire baseline: SC behaviors plus ⊥ whenever any
-    interleaving races. *)
-module Catchfire_machine : Backend.MACHINE
-
 (** The paper's PS_na machine ({!Promising.Machine}). *)
 module Ps_machine : Backend.MACHINE
 
-module Tso_machine : Backend.MACHINE
-module Armv8_machine : Backend.MACHINE
-
-(** All machines, in strength order: ["sc"], ["catchfire"], ["tso"],
-    ["armv8"], ["ps"]. *)
+(** All machines, in strength order: ["sc"] ({!Sc}), ["catchfire"]
+    ({!Catchfire}), ["tso"] ({!Tso}), ["armv8"] ({!Armv8}), ["ps"]
+    ({!Ps_machine}). *)
 val all : (module Backend.MACHINE) list
 
 (** The registered backend names, in {!all} order. *)

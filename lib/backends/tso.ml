@@ -14,8 +14,8 @@
       through to memory directly.
 
     Terminal behaviors require every buffer to be empty: a run ends
-    only once all its stores have committed.  Race detection ({!Hb}) is
-    the same happens-before discipline as the SC baseline. *)
+    only once all its stores have committed.  Race detection is {!Hb}'s,
+    the search {!Explore}'s. *)
 
 open Lang
 
@@ -27,9 +27,7 @@ type state = {
   hb : Hb.t;
 }
 
-let name = "tso"
-
-let set_nth l i v = List.mapi (fun j x -> if j = i then v else x) l
+let set_nth = Explore.set_nth
 let read_mem st x = Loc.Map.find_default ~default:Value.zero x st.mem
 
 (* Newest own-buffer entry for [x], if any. *)
@@ -43,11 +41,18 @@ let drain_all st tid =
   let mem = List.fold_left (fun m (x, v) -> Loc.Map.add x v m) st.mem buf in
   { st with mem; bufs = set_nth st.bufs tid [] }
 
-(** Successors of [st] by one step of thread [tid]: an optional drain of
-    its oldest buffered store, plus its program step (if any), plus a UB
-    flag. *)
-let thread_steps (values : Value.t list) (st : state) (tid : int) :
-    [ `Next of state | `Ub ] list =
+let init progs =
+  {
+    progs = List.map Prog.init progs;
+    bufs = List.map (fun _ -> []) progs;
+    mem = Loc.Map.empty;
+    outs = List.map (fun _ -> []) progs;
+    hb = Hb.make (List.length progs);
+  }
+
+(* The steps of thread [tid]: an optional drain of its oldest buffered
+   store, then its program step (if any). *)
+let successors (values : Value.t list) (st : state) (tid : int) =
   let prog = List.nth st.progs tid in
   let buf = List.nth st.bufs tid in
   let with_prog st p = { st with progs = set_nth st.progs tid p } in
@@ -116,19 +121,10 @@ let thread_steps (values : Value.t list) (st : state) (tid : int) :
   drains @ prog_steps
 
 (* A run terminates only once every buffer has committed. *)
-let terminal_behavior st =
-  if not (List.for_all (fun b -> b = []) st.bufs) then None
-  else
-    let rec go acc progs outs =
-      match (progs, outs) with
-      | [], [] -> Some (Backend.Ret (List.rev acc))
-      | p :: ps, o :: os ->
-        (match Prog.step p with
-         | Prog.Terminated v -> go ((v, List.rev o) :: acc) ps os
-         | _ -> None)
-      | _ -> None
-    in
-    go [] st.progs st.outs
+let terminal st =
+  if List.for_all (fun b -> b = []) st.bufs then
+    Explore.returned st.progs st.outs
+  else None
 
 module State_key = struct
   type t = state
@@ -153,59 +149,14 @@ module State_key = struct
           if c <> 0 then c else Hb.compare s1.hb s2.hb
 end
 
-module State_set = Set.Make (State_key)
+include Explore.Make (struct
+  let name = "tso"
 
-(** Exhaustive x86-TSO exploration (breadth-first over the interleaving
-    of program and drain steps). *)
-let explore ?(values = Backend.default_values)
-    ?(max_states = Backend.default_max_states)
-    ?(budget = Engine.Budget.unlimited) (progs : Stmt.t list) :
-    Backend.result =
-  let n = List.length progs in
-  let init =
-    {
-      progs = List.map (fun p -> Prog.init p) progs;
-      bufs = List.init n (fun _ -> []);
-      mem = Loc.Map.empty;
-      outs = List.init n (fun _ -> []);
-      hb = Hb.make n;
-    }
-  in
-  let visited = ref State_set.empty in
-  let n_visited = ref 0 in
-  let behaviors = ref Backend.Behavior_set.empty in
-  let races = ref false in
-  let truncated = ref false in
-  let queue = Queue.create () in
-  let push st =
-    if not (State_set.mem st !visited) then
-      if !n_visited >= max_states then truncated := true
-      else begin
-        Engine.Budget.spend_state budget;
-        visited := State_set.add st !visited;
-        incr n_visited;
-        Queue.push st queue
-      end
-  in
-  push init;
-  while not (Queue.is_empty queue) do
-    Engine.Budget.check budget;
-    let st = Queue.pop queue in
-    if Hb.raced st.hb then races := true;
-    (match terminal_behavior st with
-     | Some b -> behaviors := Backend.Behavior_set.add b !behaviors
-     | None -> ());
-    for tid = 0 to n - 1 do
-      List.iter
-        (function
-          | `Ub -> behaviors := Backend.Behavior_set.add Backend.Bot !behaviors
-          | `Next st' -> push st')
-        (thread_steps values st tid)
-    done
-  done;
-  {
-    Backend.behaviors = !behaviors;
-    races = !races;
-    truncated = !truncated;
-    states = !n_visited;
-  }
+  type nonrec state = state
+
+  let init = init
+  let successors = successors
+  let terminal = terminal
+  let raced st = Hb.raced st.hb
+  let compare = State_key.compare
+end)

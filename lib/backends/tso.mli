@@ -9,16 +9,7 @@
     stay FIFO and whose loads happen to read the newest message — the
     SC ⊆ TSO ⊆ ARMv8 chain the E15 grid asserts per row.  The classic
     separation witness is SB: the both-read-zero outcome is forbidden
-    under SC and allowed here.  See docs/BACKENDS.md. *)
+    under SC and allowed here.  Explored by {!Explore}; see
+    docs/BACKENDS.md. *)
 
-open Lang
-
-val name : string
-
-(** Exhaustive bounded exploration; see {!Backend.MACHINE}. *)
-val explore :
-  ?values:Value.t list ->
-  ?max_states:int ->
-  ?budget:Engine.Budget.t ->
-  Stmt.t list ->
-  Backend.result
+include Backend.MACHINE

@@ -8,7 +8,9 @@
       has exactly its SC behaviors under PS_na.
 
     These are checked empirically on given programs by running the three
-    explorers and comparing behavior sets. *)
+    explorers and comparing behavior sets; the SC side is
+    {!Backends.Sc}, whose strict races are the DRF-SC/DRF-LOCK
+    premises. *)
 
 open Lang
 module M = Promising.Machine
@@ -37,11 +39,15 @@ let check ?(params = Promising.Thread.default_params)
   let pf =
     M.explore ~params:{ params with Promising.Thread.promise_budget = 0 } progs
   in
-  let sc = Sc.explore ~values:params.Promising.Thread.values progs in
+  let sc, strict =
+    Backends.Sc.explore_strict ~values:params.Promising.Thread.values progs
+  in
   let pf_race_free = not pf.M.weak_races in
-  let sc_race_free = not sc.Sc.strict_races in
-  let lock_race_free = Loc.Set.subset sc.Sc.strict_race_locs lock_locs in
-  let same_as_sc = M.Behavior_set.equal full.M.behaviors sc.Sc.behaviors in
+  let sc_race_free = Loc.Set.is_empty strict in
+  let lock_race_free = Loc.Set.subset strict lock_locs in
+  let same_as_sc =
+    M.Behavior_set.equal full.M.behaviors sc.Backends.Backend.behaviors
+  in
   let drf_pf_holds =
     (not pf_race_free) || M.Behavior_set.equal full.M.behaviors pf.M.behaviors
   in
@@ -56,5 +62,5 @@ let check ?(params = Promising.Thread.default_params)
     drf_lock_holds;
     full = full.M.behaviors;
     promise_free = pf.M.behaviors;
-    sc = sc.Sc.behaviors;
+    sc = sc.Backends.Backend.behaviors;
   }

@@ -13,8 +13,11 @@
     - {!Ps}: PS_na — the promising semantics with non-atomic accesses
       (§5, Fig 5): views, messages, promises, certification, bounded
       exhaustive exploration, and behavioral refinement (Def 5.2/5.3);
-    - {!Baselines}: SC interleaving with happens-before race detection,
-      the C/C++11-style catch-fire semantics, and DRF-guarantee checks;
+    - {!Backends}: the memory-model zoo behind one signature — SC
+      interleaving, the C/C++11-style catch-fire semantics, x86-TSO and
+      ARMv8 machines (one bounded explorer, one happens-before race
+      detector), plus the PS_na adapter (docs/BACKENDS.md);
+    - {!Baselines}: the DRF-guarantee checks (E7);
     - {!Opt}: the certified optimizer (§4, App D): SLF, LLF, DSE, LICM,
       and per-run translation validation in SEQ;
     - {!Litmus}: the paper's examples as a machine-readable corpus, and
@@ -38,6 +41,7 @@
 module Lang = Lang
 module Seq = Seq_model
 module Ps = Promising
+module Backends = Backends
 module Baselines = Baselines
 module Opt = Optimizer
 module Litmus = Litmus

@@ -9,6 +9,7 @@
     supervised sweep into an [Unknown]). *)
 
 open Lang
+module B = Backends.Backend
 
 type kind =
   | Pass_correct  (** each optimizer pass's output refines its input *)
@@ -172,7 +173,8 @@ let check_lint_agree ~budget (p : Stmt.t) : string option =
    cap below still bounding the worst loop-heavy mutants. *)
 let baseline_env_max_size = 20
 
-(* The SC side below is hard-capped (Sc.explore ~max_states); the SEQ
+(* The SC side below is hard-capped (Sc.explore ~max_states), and the
+   catch-fire side is derived from that one SC result; the SEQ
    enumeration needs the same protection when the campaign budget is
    unlimited — a loop-heavy mutant near the size gate can otherwise
    enumerate behavior sets without bound.  Any explicit budget wins. *)
@@ -186,15 +188,13 @@ let check_baseline_env ~budget (p : Stmt.t) : string option =
       Engine.Budget.make ~max_states:baseline_env_default_states ()
     else budget
   in
-  let sc = Baselines.Sc.explore ~max_states:20_000 [ p ] in
-  if sc.Baselines.Sc.truncated then None
+  let sc = Backends.Sc.explore ~max_states:20_000 [ p ] in
+  if sc.B.truncated then None
   else begin
-    let cf = Baselines.Catchfire.explore [ p ] in
+    let cf = Backends.Catchfire.of_sc sc in
     if
-      (not sc.Baselines.Sc.races)
-      && not
-           (Baselines.Sc.Behavior_set.equal cf.Baselines.Catchfire.behaviors
-              sc.Baselines.Sc.behaviors)
+      (not sc.B.races)
+      && not (B.Behavior_set.equal cf.B.behaviors sc.B.behaviors)
     then Some "catch-fire disagrees with SC on a race-free program"
     else begin
       let d = Domain.of_stmts [ p ] in
@@ -223,20 +223,20 @@ let check_baseline_env ~budget (p : Stmt.t) : string option =
           behs
       in
       let missing = ref None in
-      Baselines.Sc.Behavior_set.iter
+      B.Behavior_set.iter
         (fun b ->
           if !missing = None then
             match b with
-            | Baselines.Sc.Bot ->
+            | B.Bot ->
               if not seq_bot then missing := Some "an erroneous (Bot) behavior"
-            | Baselines.Sc.Ret [ (v, prints) ] ->
+            | B.Ret [ (v, prints) ] ->
               if not (List.mem (v, prints) seq_terms) then
                 missing :=
                   Some
                     (Fmt.str "return %a with %d print(s)" Value.pp v
                        (List.length prints))
-            | Baselines.Sc.Ret _ -> ())
-        sc.Baselines.Sc.behaviors;
+            | B.Ret _ -> ())
+        sc.B.behaviors;
       match !missing with
       | None -> None
       | Some what -> Some ("SC behavior missing from SEQ enumeration: " ^ what)
@@ -257,20 +257,17 @@ let hw_max_states = 20_000
 let check_baseline_hw ~budget machine (p : Stmt.t) : string option =
   if Stmt.size p > baseline_env_max_size then None
   else
-    let (module M : Backends.Backend.MACHINE) =
+    let (module M : B.MACHINE) =
       match Backends.Registry.find machine with
       | Some m -> m
       | None -> invalid_arg ("Oracle.baseline-hw: unknown backend " ^ machine)
     in
-    let sc =
-      Backends.Registry.Sc_machine.explore ~max_states:hw_max_states ~budget
-        [ p ]
-    in
-    if sc.Backends.Backend.truncated then None
+    let sc = Backends.Sc.explore ~max_states:hw_max_states ~budget [ p ] in
+    if sc.B.truncated then None
     else
       let hw = M.explore ~max_states:hw_max_states ~budget [ p ] in
-      if hw.Backends.Backend.truncated then None
-      else if Backends.Backend.subset ~small:sc ~big:hw then None
+      if hw.B.truncated then None
+      else if B.subset ~small:sc ~big:hw then None
       else Some ("SC behavior missing under " ^ M.name)
 
 let check (k : kind) ~budget (p : Stmt.t) : string option =

@@ -1,14 +1,15 @@
-(* The hardware-backend zoo (lib/backends): x86-TSO store buffers,
-   ARMv8-flavoured local reordering, the shared MACHINE signature and
-   registry, and the SC ⊆ TSO ⊆ ARMv8 inclusion chain the E15 grid
-   asserts per row. *)
+(* The backend zoo (lib/backends): SC, catch-fire, x86-TSO store
+   buffers, ARMv8-flavoured local reordering, the shared MACHINE
+   signature and registry, the one explorer's budget contract and state
+   counts, and the SC ⊆ TSO ⊆ ARMv8 inclusion chain the E15 grid asserts
+   per row. *)
 
 open Lang
 module B = Backends.Backend
+module Sc = Backends.Sc
 module Tso = Backends.Tso
 module Armv8 = Backends.Armv8
 module Registry = Backends.Registry
-module Sc = Baselines.Sc
 
 let threads = Parser.threads_of_string
 let test name f = Alcotest.test_case name `Quick f
@@ -46,7 +47,7 @@ let separation_tests =
     test "SB both-zero: allowed under TSO, forbidden under SC" (fun () ->
         let tso = Tso.explore (threads sb) in
         check_bool "TSO allows 0,0" true (mem (ret [ i 0; i 0 ]) tso);
-        let sc = Registry.Sc_machine.explore (threads sb) in
+        let sc = Sc.explore (threads sb) in
         check_bool "SC forbids 0,0" false (mem (ret [ i 0; i 0 ]) sc));
     test "SC fences restore SC on SB under TSO and ARMv8" (fun () ->
         let tso = Tso.explore (threads sb_fence) in
@@ -138,12 +139,201 @@ let registry_tests =
     test "refines across backends: TSO target vs SC source refuted on SB"
       (fun () ->
         let progs = threads sb in
-        let sc = Registry.Sc_machine.explore progs in
+        let sc = Sc.explore progs in
         let tso = Tso.explore progs in
         check_bool "SC ⊑ TSO as sets" true (B.subset ~small:sc ~big:tso);
         check_bool "tgt TSO refines src TSO" true (B.refines ~src:tso ~tgt:tso);
         check_bool "tgt TSO does not refine src SC" false
           (B.refines ~src:sc ~tgt:tso));
+  ]
+
+(* The one explorer's budget contract, for every registered machine: a
+   state budget stops the search as it is exceeded (not after the whole
+   exploration has been charged), and a deadline that passes mid-run
+   stops it with UNKNOWN rather than a result. *)
+
+(* A program whose state space is cut only by [max_states]: thread 0
+   spins on a flag, counting, until thread 1 sets it. *)
+let spin =
+  "a = 0; b = X.load(rlx); while b == 0 { a = a + 1; print(a); \
+   b = X.load(rlx) }; d = Y.load(na); return a + 10*d ||| \
+   c = choose(); X.store(rlx, 1); Y.store(na, c); return c"
+
+let budget_tests =
+  [
+    test "every backend stops within a 10-state budget" (fun () ->
+        List.iter
+          (fun (module M : B.MACHINE) ->
+            let budget = Engine.Budget.make ~max_states:10 () in
+            match M.explore ~budget (threads sb) with
+            | exception Engine.Budget.Exhausted Engine.Budget.States ->
+              check_bool (M.name ^ " stopped during exploration") true
+                (Engine.Budget.states_used budget <= 11)
+            | _ -> Alcotest.failf "%s: no exhaustion within 10 states" M.name)
+          Registry.all);
+    test "every backend is UNKNOWN when its deadline passes mid-run"
+      (fun () ->
+        List.iter
+          (fun (module M : B.MACHINE) ->
+            let budget = Engine.Budget.make ~timeout_ms:1. () in
+            match
+              Engine.Verdict.capture (fun () -> M.explore ~budget (threads spin))
+            with
+            | Error (Engine.Verdict.Exhausted Engine.Budget.Deadline) -> ()
+            | Error r ->
+              Alcotest.failf "%s: %s" M.name (Engine.Verdict.reason_to_string r)
+            | Ok _ -> Alcotest.failf "%s: a result past the deadline" M.name)
+          Registry.all);
+  ]
+
+(* States, race flag, truncation, |behaviors| and a digest of the
+   behavior set, pinned for the four interleaving machines on the
+   catalog's concurrent programs and the E15 grid rows (full
+   explorations), and on [spin] at a 500-state cap (a truncated
+   exploration, whose behavior set depends on the order successors are
+   pushed in).  For SC also the strict-race locations [Baselines.Drf]
+   consumes.  The values were generated before the machines shared one
+   explorer and must not move. *)
+let pin_programs =
+  let catalog =
+    Litmus.Catalog.concurrent_programs
+    @ List.map (fun g -> g.Litmus.Catalog.g) Litmus.Catalog.grid_programs
+  in
+  List.fold_left
+    (fun acc (c : Litmus.Catalog.concurrent) ->
+      if List.mem_assoc c.Litmus.Catalog.cname acc then acc
+      else acc @ [ (c.Litmus.Catalog.cname, c.Litmus.Catalog.threads) ])
+    [] catalog
+  @ [ ("spin", spin) ]
+
+let pinned =
+  [
+    ("SB-rlx", "sc", None, (28, false, false, 3, "e3d89791"));
+    ("SB-rlx", "catchfire", None, (28, false, false, 3, "e3d89791"));
+    ("SB-rlx", "tso", None, (77, false, false, 4, "d5228c46"));
+    ("SB-rlx", "armv8", None, (77, false, false, 4, "d5228c46"));
+    ("MP-rel-acq", "sc", None, (24, false, false, 2, "b72007eb"));
+    ("MP-rel-acq", "catchfire", None, (24, false, false, 2, "b72007eb"));
+    ("MP-rel-acq", "tso", None, (28, false, false, 2, "b72007eb"));
+    ("MP-rel-acq", "armv8", None, (34, false, false, 2, "b72007eb"));
+    ("LB-rlx", "sc", None, (28, false, false, 3, "25570cd1"));
+    ("LB-rlx", "catchfire", None, (28, false, false, 3, "25570cd1"));
+    ("LB-rlx", "tso", None, (56, false, false, 3, "25570cd1"));
+    ("LB-rlx", "armv8", None, (56, false, false, 3, "25570cd1"));
+    ("LB-data", "sc", None, (16, false, false, 1, "6c9c8c61"));
+    ("LB-data", "catchfire", None, (16, false, false, 1, "6c9c8c61"));
+    ("LB-data", "tso", None, (36, false, false, 1, "6c9c8c61"));
+    ("LB-data", "armv8", None, (56, false, false, 1, "6c9c8c61"));
+    ("Ex-5.1", "sc", None, (24, true, false, 2, "cb28bed0"));
+    ("Ex-5.1", "catchfire", None, (24, true, false, 3, "570046c6"));
+    ("Ex-5.1", "tso", None, (36, true, false, 2, "cb28bed0"));
+    ("Ex-5.1", "armv8", None, (36, true, false, 2, "cb28bed0"));
+    ("WW-race", "sc", None, (13, true, false, 1, "6c9c8c61"));
+    ("WW-race", "catchfire", None, (13, true, false, 2, "11e8e875"));
+    ("WW-race", "tso", None, (29, true, false, 1, "6c9c8c61"));
+    ("WW-race", "armv8", None, (29, true, false, 1, "6c9c8c61"));
+    ("RW-race", "sc", None, (13, true, false, 2, "4d4db3c6"));
+    ("RW-race", "catchfire", None, (13, true, false, 3, "bb0033ff"));
+    ("RW-race", "tso", None, (19, true, false, 2, "4d4db3c6"));
+    ("RW-race", "armv8", None, (19, true, false, 2, "4d4db3c6"));
+    ("2+2W-rlx", "sc", None, (404, false, false, 8, "19d73a96"));
+    ("2+2W-rlx", "catchfire", None, (404, false, false, 8, "19d73a96"));
+    ("2+2W-rlx", "tso", None, (1039, false, false, 8, "19d73a96"));
+    ("2+2W-rlx", "armv8", None, (1831, false, false, 9, "6c452ece"));
+    ("MP-fences", "sc", None, (44, false, false, 2, "b72007eb"));
+    ("MP-fences", "catchfire", None, (44, false, false, 2, "b72007eb"));
+    ("MP-fences", "tso", None, (65, false, false, 2, "b72007eb"));
+    ("MP-fences", "armv8", None, (89, false, false, 2, "b72007eb"));
+    ("SB-sc-fence", "sc", None, (50, false, false, 3, "e3d89791"));
+    ("SB-sc-fence", "catchfire", None, (50, false, false, 3, "e3d89791"));
+    ("SB-sc-fence", "tso", None, (61, false, false, 3, "e3d89791"));
+    ("SB-sc-fence", "armv8", None, (69, false, false, 3, "e3d89791"));
+    ("MP-rlx", "sc", None, (24, false, false, 2, "b72007eb"));
+    ("MP-rlx", "catchfire", None, (24, false, false, 2, "b72007eb"));
+    ("MP-rlx", "tso", None, (44, false, false, 2, "b72007eb"));
+    ("MP-rlx", "armv8", None, (64, false, false, 3, "a9f61d80"));
+    ("IRIW-rlx", "sc", None, (652, false, false, 15, "732b9d22"));
+    ("IRIW-rlx", "catchfire", None, (652, false, false, 15, "732b9d22"));
+    ("IRIW-rlx", "tso", None, (1116, false, false, 15, "732b9d22"));
+    ("IRIW-rlx", "armv8", None, (1132, false, false, 16, "4ca45a70"));
+    ("R-rlx", "sc", None, (354, false, false, 13, "2cb28baf"));
+    ("R-rlx", "catchfire", None, (354, false, false, 13, "2cb28baf"));
+    ("R-rlx", "tso", None, (807, false, false, 14, "f45f368a"));
+    ("R-rlx", "armv8", None, (1071, false, false, 14, "f45f368a"));
+    ("S-rlx", "sc", None, (354, false, false, 13, "2c4a719c"));
+    ("S-rlx", "catchfire", None, (354, false, false, 13, "2c4a719c"));
+    ("S-rlx", "tso", None, (754, false, false, 13, "2c4a719c"));
+    ("S-rlx", "armv8", None, (946, false, false, 14, "f45f368a"));
+    ("WRC-rlx", "sc", None, (138, false, false, 7, "dd1b997e"));
+    ("WRC-rlx", "catchfire", None, (138, false, false, 7, "dd1b997e"));
+    ("WRC-rlx", "tso", None, (254, false, false, 7, "dd1b997e"));
+    ("WRC-rlx", "armv8", None, (262, false, false, 8, "956872ff"));
+    ("CoRR-rlx", "sc", None, (22, false, false, 3, "458430ee"));
+    ("CoRR-rlx", "catchfire", None, (22, false, false, 3, "458430ee"));
+    ("CoRR-rlx", "tso", None, (30, false, false, 3, "458430ee"));
+    ("CoRR-rlx", "armv8", None, (30, false, false, 3, "458430ee"));
+    ("spin", "sc", Some 500, (500, true, true, 20, "b03865fe"));
+    ("spin", "catchfire", Some 500, (500, true, true, 21, "75995830"));
+    ("spin", "tso", Some 500, (500, true, true, 5, "9ad7c988"));
+    ("spin", "armv8", Some 500, (500, true, true, 5, "9ad7c988"));
+  ]
+
+let pinned_strict =
+  [
+    ("SB-rlx", None, [ "Y"; "Z" ]);
+    ("MP-rel-acq", None, [ "Y" ]);
+    ("LB-rlx", None, [ "Y"; "Z" ]);
+    ("LB-data", None, [ "Y"; "Z" ]);
+    ("Ex-5.1", None, [ "X"; "Y" ]);
+    ("WW-race", None, [ "X" ]);
+    ("RW-race", None, [ "X" ]);
+    ("2+2W-rlx", None, [ "Y"; "Z" ]);
+    ("MP-fences", None, [ "Y" ]);
+    ("SB-sc-fence", None, [ "Y"; "Z" ]);
+    ("MP-rlx", None, [ "Y"; "Z" ]);
+    ("IRIW-rlx", None, [ "Y"; "Z" ]);
+    ("R-rlx", None, [ "Y"; "Z" ]);
+    ("S-rlx", None, [ "Y"; "Z" ]);
+    ("WRC-rlx", None, [ "Y"; "Z" ]);
+    ("CoRR-rlx", None, [ "Y" ]);
+    ("spin", Some 500, [ "X"; "Y" ]);
+  ]
+
+let render (states, races, truncated, n, digest) =
+  Printf.sprintf "%d states, races=%b, truncated=%b, %d behaviors, %s" states
+    races truncated n digest
+
+let pin_row (r : B.result) =
+  let digest =
+    Digest.string (Fmt.str "%a" Promising.Machine.pp_behaviors r.B.behaviors)
+  in
+  render
+    ( r.B.states,
+      r.B.races,
+      r.B.truncated,
+      B.Behavior_set.cardinal r.B.behaviors,
+      String.sub (Digest.to_hex digest) 0 8 )
+
+let pin_tests =
+  [
+    test "state counts and behavior sets are pinned" (fun () ->
+        List.iter
+          (fun (prog, backend, max_states, expected) ->
+            let (module M : B.MACHINE) = Option.get (Registry.find backend) in
+            let r = M.explore ?max_states (threads (List.assoc prog pin_programs)) in
+            Alcotest.(check string)
+              (prog ^ " under " ^ backend)
+              (render expected) (pin_row r))
+          pinned);
+    test "SC strict-race locations are pinned" (fun () ->
+        List.iter
+          (fun (prog, max_states, locs) ->
+            let _, strict =
+              Sc.explore_strict ?max_states (threads (List.assoc prog pin_programs))
+            in
+            Alcotest.(check (list string)) prog locs
+              (List.map Loc.name (Loc.Set.elements strict)))
+          pinned_strict);
   ]
 
 (* The inclusion chain on the whole litmus catalog. *)
@@ -152,7 +342,7 @@ let chain_on_catalog =
       List.iter
         (fun (c : Litmus.Catalog.concurrent) ->
           let progs = threads c.Litmus.Catalog.threads in
-          let sc = Registry.Sc_machine.explore ~max_states:50_000 progs in
+          let sc = Sc.explore ~max_states:50_000 progs in
           let tso = Tso.explore ~max_states:50_000 progs in
           let arm = Armv8.explore ~max_states:50_000 progs in
           if not (sc.B.truncated || tso.B.truncated || arm.B.truncated) then begin
@@ -187,12 +377,12 @@ let chain_qcheck =
     (fun (s, t) ->
       let progs = [ s; t ] in
       let max_states = 30_000 in
-      let sc = Registry.Sc_machine.explore ~max_states progs in
+      let sc = Sc.explore ~max_states progs in
       let tso = Tso.explore ~max_states progs in
       let arm = Armv8.explore ~max_states progs in
       sc.B.truncated || tso.B.truncated || arm.B.truncated
       || (B.subset ~small:sc ~big:tso && B.subset ~small:tso ~big:arm))
 
 let suite =
-  separation_tests @ machine_tests @ registry_tests
+  separation_tests @ machine_tests @ registry_tests @ budget_tests @ pin_tests
   @ [ chain_on_catalog; QCheck_alcotest.to_alcotest chain_qcheck ]

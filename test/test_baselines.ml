@@ -4,8 +4,9 @@
 
 open Lang
 module M = Promising.Machine
-module Sc = Baselines.Sc
-module Cf = Baselines.Catchfire
+module B = Backends.Backend
+module Sc = Backends.Sc
+module Cf = Backends.Catchfire
 
 let threads = Parser.threads_of_string
 let test name f = Alcotest.test_case name `Quick f
@@ -23,15 +24,16 @@ let suite =
                 Z.store(rlx,1); b = Y.load(rlx); return b")
         in
         check_bool "no 0,0 under SC" false
-          (Sc.Behavior_set.mem (ret [ i 0; i 0 ]) r.Sc.behaviors));
+          (B.Behavior_set.mem (ret [ i 0; i 0 ]) r.B.behaviors));
     test "SC race detection: na conflict races, atomics do not" (fun () ->
         let racy = Sc.explore (threads "X.store(na,1) ||| a = X.load(na); return a") in
-        check_bool "na race" true racy.Sc.races;
-        let atomic =
-          Sc.explore (threads "Y.store(rlx,1) ||| a = Y.load(rlx); return a")
+        check_bool "na race" true racy.B.races;
+        let atomic, strict =
+          Sc.explore_strict
+            (threads "Y.store(rlx,1) ||| a = Y.load(rlx); return a")
         in
-        check_bool "no na race" false atomic.Sc.races;
-        check_bool "but a strict race" true atomic.Sc.strict_races);
+        check_bool "no na race" false atomic.B.races;
+        check_bool "but a strict race" true (Loc.Set.mem (Loc.make "Y") strict));
     test "SC: rel-acq synchronisation removes the race" (fun () ->
         let r =
           Sc.explore
@@ -39,7 +41,7 @@ let suite =
                "X.store(na,1); Y.store(rel,1) ||| \
                 a = Y.load(acq); if a == 1 { b = X.load(na) }; return b")
         in
-        check_bool "race-free" false r.Sc.races);
+        check_bool "race-free" false r.B.races);
     test "SC: lock via CAS removes the race" (fun () ->
         let r =
           Sc.explore
@@ -49,7 +51,7 @@ let suite =
                 b = 0; while b == 0 { b = cas(L, 0, 1) }; c = X.load(na); \
                 L.store(rel, 0); return c")
         in
-        check_bool "race-free" false r.Sc.races);
+        check_bool "race-free" false r.B.races);
     (* E6: load introduction across the three semantics *)
     test "E6: load introduction sound in PS_na, unsound under catch-fire"
       (fun () ->
@@ -62,9 +64,9 @@ let suite =
           (M.refines ~src:ps_src.M.behaviors ~tgt:ps_tgt.M.behaviors);
         let cf_src = Cf.explore (threads (src ^ " ||| " ^ ctx)) in
         let cf_tgt = Cf.explore (threads (tgt ^ " ||| " ^ ctx)) in
-        check_bool "target catches fire" true cf_tgt.Cf.catches_fire;
-        check_bool "source does not" false cf_src.Cf.catches_fire;
-        check_bool "catch-fire refuses" false (Cf.refines ~src:cf_src ~tgt:cf_tgt));
+        check_bool "target catches fire" true (B.Behavior_set.mem B.Bot cf_tgt.B.behaviors);
+        check_bool "source does not" false (B.Behavior_set.mem B.Bot cf_src.B.behaviors);
+        check_bool "catch-fire refuses" false (B.refines ~src:cf_src ~tgt:cf_tgt));
     test "E6: LICM (Ex 1.3) introduces a racy load under catch-fire"
       (fun () ->
         (* the loop never executes: b starts at 1 *)
@@ -76,7 +78,7 @@ let suite =
         let cf_src = Cf.explore (threads (src ^ " ||| " ^ ctx)) in
         let cf_tgt = Cf.explore (threads (tgt ^ " ||| " ^ ctx)) in
         check_bool "catch-fire refuses LICM" false
-          (Cf.refines ~src:cf_src ~tgt:cf_tgt);
+          (B.refines ~src:cf_src ~tgt:cf_tgt);
         let ps_src = M.explore (threads (src ^ " ||| " ^ ctx)) in
         let ps_tgt = M.explore (threads (tgt ^ " ||| " ^ ctx)) in
         check_bool "PS_na accepts LICM" true

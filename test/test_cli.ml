@@ -83,6 +83,36 @@ let test_seqcheck_lint_agreement () =
       (* self-refinement with lint errors: 0 -> 3 *)
     ]
 
+let run_output cmd =
+  let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED n -> (out, n)
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> (out, -1)
+
+(* --baselines explores SC once, under the run's --max-states and
+   budget, and reads the catch-fire line off that result; exhaustion is
+   UNKNOWN with exit 4, as for --backend. *)
+let test_litmus_baselines () =
+  let out, code =
+    run_output
+      (Fmt.str "%s --name 2+2W-rlx --backend tso --max-states 50 --baselines"
+         (exe "litmus_run"))
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  Alcotest.(check (list string))
+    "SC is capped by --max-states"
+    [ "tso behaviors (50 states, TRUNCATED):"; "  {}";
+      "SC behaviors (50 states, TRUNCATED):"; "  {}"; "catch-fire: race-free" ]
+    (String.split_on_char '\n' (String.trim out));
+  let out, code =
+    run_output
+      (Fmt.str "%s --name WW-race --backend tso --timeout-ms 0 --baselines"
+         (exe "litmus_run"))
+  in
+  Alcotest.(check int) "exhausted: exit 4" 4 code;
+  Alcotest.(check string) "exhausted: UNKNOWN" "UNKNOWN(deadline)" (String.trim out)
+
 let suite =
   [
     Alcotest.test_case "seqlint exit codes" `Quick test_seqlint_exit_codes;
@@ -92,4 +122,6 @@ let suite =
       test_seqlint_json_same_exit;
     Alcotest.test_case "seqcheck --lint agrees with seqlint" `Quick
       test_seqcheck_lint_agreement;
+    Alcotest.test_case "litmus_run --baselines runs SC once, budgeted" `Quick
+      test_litmus_baselines;
   ]

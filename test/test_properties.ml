@@ -111,10 +111,11 @@ let ps_vs_sc_sequential =
         { Promising.Thread.default_params with values = values2; max_states = 50_000 }
       in
       let ps = Promising.Machine.explore ~params [ s ] in
-      let sc = Baselines.Sc.explore ~values:values2 [ s ] in
-      QCheck.assume ((not ps.Promising.Machine.truncated) && not sc.Baselines.Sc.truncated);
+      let sc = Backends.Sc.explore ~values:values2 [ s ] in
+      QCheck.assume
+        ((not ps.Promising.Machine.truncated) && not sc.Backends.Backend.truncated);
       Promising.Machine.Behavior_set.equal ps.Promising.Machine.behaviors
-        sc.Baselines.Sc.behaviors)
+        sc.Backends.Backend.behaviors)
 
 (* 7. PS_na behavioral refinement is reflexive on random 2-thread programs. *)
 let ps_refl =
@@ -161,12 +162,13 @@ let optimizer_preserves_sequential =
     (stmt_arbitrary opt_cfg ~size:8)
     (fun s ->
       let r = Optimizer.Driver.optimize s in
-      let explore p = Baselines.Sc.explore ~values:values2 ~max_states:20_000 [ p ] in
+      let explore p = Backends.Sc.explore ~values:values2 ~max_states:20_000 [ p ] in
       let before = explore s and after = explore r.Optimizer.Driver.output in
       QCheck.assume
-        ((not before.Baselines.Sc.truncated) && not after.Baselines.Sc.truncated);
-      Baselines.Sc.Behavior_set.equal before.Baselines.Sc.behaviors
-        after.Baselines.Sc.behaviors)
+        ((not before.Backends.Backend.truncated)
+        && not after.Backends.Backend.truncated);
+      Backends.Backend.Behavior_set.equal before.Backends.Backend.behaviors
+        after.Backends.Backend.behaviors)
 
 (* 10. DSE + SLF compose: running the pipeline twice equals running it
    once (idempotence). *)
