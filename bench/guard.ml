@@ -35,6 +35,14 @@
    forbidden under SC.  Both are categorical properties of the machines,
    so any violation is a code regression.
 
+   E17 (PS_na exploration cost, gated on the baseline having an E17
+   table): every baseline row's [cert_calls] must be matched exactly by
+   the current record.  It counts a deterministic search, independent
+   of the machine, so any change means certification ran another number
+   of times.  The state counts are pinned by the backend tests
+   (test/test_backends.ml), not here; the row's ms and µs/state are not
+   judged.
+
    Records whose schema version this guard does not know are skipped
    with a notice (exit 0) instead of being misread: field meanings may
    have changed under the same names.
@@ -56,7 +64,8 @@ let hard_floor = 0.1
 (* Schema versions this guard knows how to judge.  A record written by a
    newer (or older) harness is skipped with a notice instead of being
    misread: field meanings may have changed under the same names. *)
-let known_schemas = [ "seq-bench/5"; "seq-bench/6"; "seq-bench/7" ]
+let known_schemas =
+  [ "seq-bench/5"; "seq-bench/6"; "seq-bench/7"; "seq-bench/8" ]
 
 let read_file path =
   let ic = open_in_bin path in
@@ -406,6 +415,44 @@ let check_e16 ~current ~cur_tbls ~base_tbls =
       if !bad = [] then Fmt.pr "guard: E16 within bounds@.";
       !bad)
 
+(* ---------------- E17: PS_na counts ---------------- *)
+
+let check_e17 ~current ~cur_tbls ~base_tbls =
+  match table_rows "E17" base_tbls with
+  | None -> []  (* baseline predates the PS_na cost table *)
+  | Some base_rows -> (
+    match table_rows "E17" cur_tbls with
+    | None -> fail "%s: no E17 table" current
+    | Some cur_rows ->
+      let cert_calls row name =
+        match Option.bind (J.member "cert_calls" row) J.to_float_opt with
+        | Some f -> int_of_float f
+        | None -> fail "E17 row %S has no cert_calls" name
+      in
+      let bad = ref [] in
+      List.iter
+        (fun brow ->
+          let name =
+            match row_name brow with
+            | Some n -> n
+            | None -> fail "baseline E17 row without a name"
+          in
+          match find_row name cur_rows with
+          | None ->
+            fail "E17 row %S present in baseline but missing from %s" name
+              current
+          | Some crow ->
+            let b = cert_calls brow name and c = cert_calls crow name in
+            if b <> c then begin
+              Fmt.epr "guard: E17 %s: cert_calls %d, baseline %d@." name c b;
+              bad := (name ^ ".cert_calls") :: !bad
+            end)
+        base_rows;
+      if !bad = [] then
+        Fmt.pr "guard: all %d E17 rows match the baseline counts@."
+          (List.length base_rows);
+      !bad)
+
 let () =
   let current, baseline =
     match Array.to_list Sys.argv with
@@ -423,9 +470,10 @@ let () =
   let abs_bad = check_e14 ~current ~cur_tbls ~base_tbls in
   let grid_bad = check_e15 ~current ~cur_tbls ~base_tbls in
   let fuzz_bad = check_e16 ~current ~cur_tbls ~base_tbls in
-  match hard, soft, chaos_bad, abs_bad, grid_bad, fuzz_bad with
-  | [], [], [], [], [], [] -> ()
-  | hard, soft, chaos_bad, abs_bad, grid_bad, fuzz_bad ->
+  let ps_bad = check_e17 ~current ~cur_tbls ~base_tbls in
+  match hard, soft, chaos_bad, abs_bad, grid_bad, fuzz_bad, ps_bad with
+  | [], [], [], [], [], [], [] -> ()
+  | hard, soft, chaos_bad, abs_bad, grid_bad, fuzz_bad, ps_bad ->
     List.iter
       (Fmt.epr "guard: HARD regression (order of magnitude): %s@.")
       hard;
@@ -439,4 +487,5 @@ let () =
     List.iter
       (Fmt.epr "guard: E16 guided-fuzzing invariant violated: %s@.")
       fuzz_bad;
+    List.iter (Fmt.epr "guard: E17 PS_na count changed: %s@.") ps_bad;
     exit (if hard <> [] then 2 else 1)

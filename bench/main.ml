@@ -399,6 +399,42 @@ let backend_grid_table ~pool ~robust () =
   swept_in (Engine.Pool.size pool) pms
 
 (* ------------------------------------------------------------------ *)
+(* E17: PS_na exploration cost per litmus program                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every distinct catalog and grid program explored once under PS_na,
+   sequentially, with a fresh certification memo.  States and cert calls
+   are categorical (bench/guard.ml pins them); ms and µs/state are
+   informational. *)
+let ps_cost_table () =
+  let title = "E17 — PS_na exploration cost: states, certification calls, time" in
+  header title;
+  Fmt.pr "%-12s %7s %10s %10s %9s %9s@." "program" "states" "cert_calls"
+    "memo_hits" "ms" "us/state";
+  let rows, table_ms =
+    Engine.Stats.timed @@ fun () ->
+    List.map
+      (fun (c : C.concurrent) ->
+        let name = c.C.cname in
+        let r, ms =
+          Engine.Stats.timed (fun () ->
+              M.explore (Parser.threads_of_string c.C.threads))
+        in
+        let us = 1000. *. ms /. float_of_int r.M.states in
+        Fmt.pr "%-12s %7d %10d %10d %9.1f %9.1f@." name r.M.states
+          r.M.cert_calls r.M.memo_hits ms us;
+        J.Obj
+          [ ("name", J.String name);
+            ("states", J.Int r.M.states);
+            ("cert_calls", J.Int r.M.cert_calls);
+            ("memo_hits", J.Int r.M.memo_hits);
+            ("ms", J.Float ms);
+            ("us_per_state", J.Float us) ])
+      C.litmus_programs
+  in
+  add_table ~ms:table_ms "E17" title rows
+
+(* ------------------------------------------------------------------ *)
 (* E5: adequacy                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1500,6 +1536,7 @@ let () =
     optimizer_table ();
     litmus_table ~pool ~robust ();
     backend_grid_table ~pool ~robust ();
+    ps_cost_table ();
     adequacy_table ~pool ~full ~robust ();
     catchfire_table ();
     drf_table ();
@@ -1521,7 +1558,7 @@ let () =
    | Some path ->
      let doc =
        J.Obj
-         [ ("schema", J.String "seq-bench/7");
+         [ ("schema", J.String "seq-bench/8");
            ("jobs", J.Int jobs);
            ("full", J.Bool full);
            ("total_ms", J.Float total_ms);

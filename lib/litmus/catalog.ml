@@ -525,6 +525,13 @@ let grid_programs =
     };
   ]
 
+let litmus_programs =
+  List.fold_left
+    (fun acc c ->
+      if List.exists (fun c' -> c'.cname = c.cname) acc then acc
+      else acc @ [ c ])
+    [] (concurrent_programs @ List.map (fun g -> g.g) grid_programs)
+
 (** The E15 pass-soundness grid: SEQ-validated transformations plugged
     into a concurrent context (from {!contexts}) and re-checked as
     behavior-set refinement under every backend — where a pass sound on

@@ -43,6 +43,10 @@ type grid_entry = {
     TSO, LB separates PS_na from ARMv8. *)
 val grid_programs : grid_entry list
 
+(** Every distinct litmus program: the E4 programs, then the grid rows'
+    programs that are not among them, in catalog order. *)
+val litmus_programs : concurrent list
+
 (** The E15 pass-soundness grid: (transformation name, context name)
     pairs — each SEQ-validated pass is plugged into the context and
     re-checked as behavior-set refinement under every backend. *)

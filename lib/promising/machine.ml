@@ -40,102 +40,6 @@ module Behavior_set = Set.Make (struct
 end)
 
 (* ------------------------------------------------------------------ *)
-(* Canonicalization                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Interner for program states: canonical keys would otherwise
-   pretty-print the entire remaining program of every thread for every
-   explored state, which dominates exploration time. *)
-module Prog_map = Map.Make (struct
-  type t = Prog.state
-  let compare = Prog.compare_state
-end)
-
-type interner = { mutable next : int; mutable ids : int Prog_map.t }
-
-let make_interner () = { next = 0; ids = Prog_map.empty }
-
-let intern (i : interner) (p : Prog.state) : int =
-  match Prog_map.find_opt p i.ids with
-  | Some id -> id
-  | None ->
-    let id = i.next in
-    i.next <- id + 1;
-    i.ids <- Prog_map.add p id i.ids;
-    id
-
-(* Rank of a timestamp within its location's message list (0 = the init
-   message).  Views always point at message timestamps. *)
-let canon_key ?interner (s : state) : string =
-  let buf = Buffer.create 256 in
-  let ranks : (Loc.t * (Time.t * int) list) list =
-    Loc.Map.fold
-      (fun x ms acc ->
-        (x, List.mapi (fun i m -> (m.Message.ts, i)) ms) :: acc)
-      s.memory.Memory.msgs []
-  in
-  let rank x ts =
-    match List.assoc_opt x ranks with
-    | None -> -1
-    | Some l ->
-      (match List.find_opt (fun (t, _) -> Time.equal t ts) l with
-       | Some (_, i) -> i
-       | None -> -2)
-  in
-  let add_view v =
-    Loc.Map.iter
-      (fun x t ->
-        if not (Time.equal t Time.zero) then
-          Buffer.add_string buf (Printf.sprintf "%s@%d;" x (rank x t)))
-      v
-  in
-  let add_msg m =
-    Buffer.add_string buf
-      (Printf.sprintf "%s@%d%s:" m.Message.loc
-         (rank m.Message.loc m.Message.ts)
-         (if m.Message.attached then "!" else ""));
-    (match m.Message.payload with
-     | Message.Reserved -> Buffer.add_string buf "res"
-     | Message.Concrete { value; view } ->
-       Buffer.add_string buf (Value.to_string value);
-       Buffer.add_char buf '[';
-       add_view view;
-       Buffer.add_char buf ']');
-    Buffer.add_char buf ' '
-  in
-  Loc.Map.iter
-    (fun x ms ->
-      Buffer.add_string buf x;
-      Buffer.add_string buf "::";
-      List.iter add_msg ms;
-      Buffer.add_char buf '\n')
-    s.memory.Memory.msgs;
-  Buffer.add_string buf "S:";
-  add_view s.memory.Memory.scv;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (th : Thread.t) ->
-      Buffer.add_string buf "T:";
-      (match interner with
-       | Some i -> Buffer.add_string buf (string_of_int (intern i th.Thread.prog))
-       | None -> Buffer.add_string buf (Fmt.str "%a" Prog.pp_state th.Thread.prog));
-      Buffer.add_char buf '|';
-      add_view th.Thread.views.Tview.cur;
-      Buffer.add_char buf ';';
-      add_view th.Thread.views.Tview.acq;
-      Buffer.add_char buf ';';
-      add_view th.Thread.views.Tview.rel;
-      Buffer.add_char buf '|';
-      List.iter add_msg th.Thread.promises;
-      Buffer.add_char buf '|';
-      List.iter
-        (fun v -> Buffer.add_string buf (Value.to_string v ^ ","))
-        th.Thread.outs;
-      Buffer.add_string buf (Printf.sprintf "|%d\n" th.Thread.promised))
-    s.threads;
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
 (* Certification                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -148,42 +52,56 @@ let params_fingerprint (p : Thread.params) : string =
     p.Thread.batch_bound p.Thread.batch_concrete p.Thread.promise_budget
     p.Thread.cert_fuel p.Thread.track_fence_views
 
+(* One exploration's certification context.  [verdicts] caches verdicts
+   across the exploration, keyed by the single-thread state (sound:
+   certification only depends on it and the params, which select the
+   table). *)
+type cert = {
+  params : Thread.params;
+  ids : State_id.t;
+  verdicts : (int, bool) Hashtbl.t;
+  budget : Engine.Budget.t;
+  mutable calls : int;
+  mutable hits : int;  (** top-level memo hits *)
+}
+
 (* Thread-alone search for a promise-free point (new promises excluded;
-   failure steps empty the promise set and therefore certify).  [memo]
-   caches verdicts across the exploration, keyed by the canonical
-   single-thread state (sound: certification only depends on it and the
-   params, which [key_prefix] encodes for shared tables).  [hit_counter]
-   counts top-level memo hits. *)
-let certify ?memo ?interner ?(key_prefix = "") ?hit_counter
-    ?(budget = Engine.Budget.unlimited) (p : Thread.params) (mem : Memory.t)
-    (th : Thread.t) : bool =
-  let key mem th = canon_key ?interner { threads = [ th ]; memory = mem } in
-  let top_key = key_prefix ^ key mem th in
-  match Option.bind memo (fun m -> Hashtbl.find_opt m top_key) with
+   failure steps empty the promise set and therefore certify).  [m] and
+   [tid] are the interned [mem] and [th]. *)
+let certify (c : cert) (mem : Memory.t) (m : State_id.memory) (th : Thread.t)
+    (tid : int) : bool =
+  c.calls <- c.calls + 1;
+  let top = State_id.single_key m tid in
+  match Hashtbl.find_opt c.verdicts top with
   | Some b ->
-    Option.iter incr hit_counter;
+    c.hits <- c.hits + 1;
     b
   | None ->
     let visited = Hashtbl.create 64 in
-    let rec go fuel mem th =
-      Engine.Budget.check budget;
+    (* [(pmem, pm)] is the previous memory and its interned form: steps
+       that leave the memory alone return it physically unchanged *)
+    let rec go fuel (pmem, pm) mem th =
+      Engine.Budget.check c.budget;
       if th.Thread.promises = [] then true
       else if fuel = 0 then false
       else
-        let k = key mem th in
+        let m = if mem == pmem then pm else State_id.memory c.ids mem in
+        let k = State_id.single_key m (State_id.thread c.ids m th) in
         if Hashtbl.mem visited k then false
         else begin
           Hashtbl.add visited k ();
-          let outcomes = Thread.steps p mem th @ Thread.lower_steps mem th in
+          let outcomes =
+            Thread.steps c.params mem th @ Thread.lower_steps mem th
+          in
           List.exists
             (function
               | Thread.Failure -> Thread.may_fail th
-              | Thread.Step (th', mem', _) -> go (fuel - 1) mem' th')
+              | Thread.Step (th', mem', _) -> go (fuel - 1) (mem, m) mem' th')
             outcomes
         end
     in
-    let result = go p.Thread.cert_fuel mem th in
-    Option.iter (fun m -> Hashtbl.replace m top_key result) memo;
+    let result = go c.params.Thread.cert_fuel (mem, m) mem th in
+    Hashtbl.replace c.verdicts top result;
     result
 
 (* ------------------------------------------------------------------ *)
@@ -194,20 +112,18 @@ let certify ?memo ?interner ?(key_prefix = "") ?hit_counter
     {!explore} calls (e.g. every context of one adequacy row, or all
     tasks a sweep worker domain executes).  Never share one across
     domains: the tables are plain [Hashtbl]s.  Sharing is sound across
-    differing params (keys carry a params fingerprint) and only ever
-    changes {e timing} and hit counts, never verdicts or state counts. *)
+    differing params (each params fingerprint has its own verdict table)
+    and only ever changes {e timing} and hit counts, never verdicts or
+    state counts. *)
 type memo = {
-  cert_tbl : (string, bool) Hashtbl.t;
-  shared_interner : interner;
+  ids : State_id.t;
+  tables : (string, (int, bool) Hashtbl.t) Hashtbl.t;
+      (** params fingerprint -> verdicts *)
   mutable hits : int;  (** cumulative hits across all uses *)
 }
 
 let make_memo () =
-  {
-    cert_tbl = Hashtbl.create 1024;
-    shared_interner = make_interner ();
-    hits = 0;
-  }
+  { ids = State_id.create (); tables = Hashtbl.create 4; hits = 0 }
 
 let memo_hits (m : memo) = m.hits
 
@@ -227,6 +143,7 @@ type result = {
   memo_hits : int;
       (** certification-memo hits during this exploration — deterministic
           iff the memo was not pre-warmed by other explorations *)
+  cert_calls : int;  (** certification calls, memo hits included *)
 }
 
 let terminal_behavior (s : state) : behavior option =
@@ -288,12 +205,22 @@ let explore ?(params = Thread.default_params) ?(until_bot = false) ?memo
     if List.exists stmt_has_fence progs then params
     else { params with Thread.track_fence_views = false }
   in
-  let cert_memo, interner, key_prefix =
+  let ids, verdicts =
     match memo with
-    | Some m -> (m.cert_tbl, m.shared_interner, params_fingerprint params)
-    | None -> (Hashtbl.create 1024, make_interner (), "")
+    | Some m ->
+      let fp = params_fingerprint params in
+      let verdicts =
+        match Hashtbl.find_opt m.tables fp with
+        | Some t -> t
+        | None ->
+          let t = Hashtbl.create 1024 in
+          Hashtbl.add m.tables fp t;
+          t
+      in
+      (m.ids, verdicts)
+    | None -> (State_id.create (), Hashtbl.create 1024)
   in
-  let hit_counter = ref 0 in
+  let cert = { params; ids; verdicts; budget; calls = 0; hits = 0 } in
   let locs =
     let fps = List.map Stmt.footprint progs in
     let all =
@@ -321,23 +248,26 @@ let explore ?(params = Thread.default_params) ?(until_bot = false) ?memo
   let races = ref false in
   let weak_races = ref false in
   let truncated = ref false in
+  (* queued states carry their interned memory and thread ids *)
   let queue = Queue.create () in
-  let push s =
-    let k = canon_key ~interner s in
+  let push s m tids =
+    let k = State_id.state_key m tids in
     if not (Hashtbl.mem visited k) then
       if Hashtbl.length visited >= params.Thread.max_states then
         truncated := true
       else begin
         Engine.Budget.spend_state budget;
         Hashtbl.add visited k ();
-        Queue.push s queue
+        Queue.push (s, m, tids) queue
       end
   in
-  push init_state;
+  (let m = State_id.memory ids init_state.memory in
+   push init_state m
+     (Array.of_list (List.map (State_id.thread ids m) init_state.threads)));
   let stop = ref false in
   while (not !stop) && not (Queue.is_empty queue) do
     Engine.Budget.check budget;
-    let s = Queue.pop queue in
+    let s, m, tids = Queue.pop queue in
     if state_has_race s then races := true;
     if state_has_weak_race s then weak_races := true;
     (match terminal_behavior s with
@@ -356,27 +286,32 @@ let explore ?(params = Thread.default_params) ?(until_bot = false) ?memo
               behaviors := Behavior_set.add Bot !behaviors;
               if until_bot then stop := true
             | Thread.Step (th', mem', _) ->
-              if
-                certify ~memo:cert_memo ~interner ~key_prefix ~hit_counter
-                  ~budget params mem' th'
-              then
-                push
-                  {
-                    threads =
-                      List.mapi (fun i t -> if i = tid then th' else t) s.threads;
-                    memory = mem';
-                  })
+              let m' = if mem' == s.memory then m else State_id.memory ids mem' in
+              let id' = State_id.thread ids m' th' in
+              if certify cert mem' m' th' id' then begin
+                let threads =
+                  List.mapi (fun i t -> if i = tid then th' else t) s.threads
+                in
+                let tids' =
+                  if m' == m then Array.copy tids
+                  else
+                    Array.of_list (List.map (State_id.thread ids m') threads)
+                in
+                tids'.(tid) <- id';
+                push { threads; memory = mem' } m' tids'
+              end)
           outcomes)
       s.threads
   done;
-  Option.iter (fun m -> m.hits <- m.hits + !hit_counter) memo;
+  Option.iter (fun m -> m.hits <- m.hits + cert.hits) memo;
   {
     behaviors = !behaviors;
     truncated = !truncated;
     states = Hashtbl.length visited;
     races = !races;
     weak_races = !weak_races;
-    memo_hits = !hit_counter;
+    memo_hits = cert.hits;
+    cert_calls = cert.calls;
   }
 
 (** Budgeted exploration that never raises: [Error reason] on budget

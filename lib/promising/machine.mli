@@ -2,7 +2,8 @@
     and behavioral refinement (§5, Def 5.2/5.3).
 
     Exploration deduplicates states up to order-isomorphism of the
-    per-location timestamp orders; promise steps, non-atomic write batches,
+    per-location timestamp orders, by their packed identity
+    ({!State_id}); promise steps, non-atomic write batches,
     and certification depth are bounded by {!Thread.params} (see
     DESIGN.md). *)
 
@@ -20,31 +21,10 @@ val compare_behavior : behavior -> behavior -> int
 
 module Behavior_set : Set.S with type elt = behavior
 
-(** Interner assigning small ids to program states, so canonical keys need
-    not pretty-print whole programs. *)
-type interner
-
-val make_interner : unit -> interner
-
-(** Canonical key of a machine state: per-location timestamps replaced by
-    their rank, preserving order, adjacency, views and payloads. *)
-val canon_key : ?interner:interner -> state -> string
-
-(** Fingerprint of the parameters certification verdicts depend on; used
-    to key shared memo tables across explorations with differing params. *)
+(** Fingerprint of the parameters certification verdicts depend on; a
+    memo context keeps one verdict table per fingerprint, so explorations
+    with differing params can share it. *)
 val params_fingerprint : Thread.params -> string
-
-(** [certify p mem th]: can the thread, running alone without new promise
-    steps, reach an empty promise set (⊥ counts: failure steps empty the
-    promise set)?  [memo] caches verdicts across an exploration, with
-    [key_prefix] (see {!params_fingerprint}) separating entries of
-    explorations run under different params; [hit_counter] is bumped on
-    every memo hit. *)
-val certify :
-  ?memo:(string, bool) Hashtbl.t -> ?interner:interner ->
-  ?key_prefix:string -> ?hit_counter:int ref ->
-  ?budget:Engine.Budget.t ->
-  Thread.params -> Memory.t -> Thread.t -> bool
 
 (** A certification-memo context reusable across {!explore} calls — e.g.
     every context exploration of one adequacy row, or all tasks one sweep
@@ -69,6 +49,9 @@ type result = {
   memo_hits : int;
       (** certification-memo hits during this exploration — deterministic
           iff the memo context was not pre-warmed by other explorations *)
+  cert_calls : int;
+      (** certification calls during this exploration, memo hits
+          included *)
 }
 
 (** Exhaustive bounded exploration of all PS_na behaviors of a concurrent

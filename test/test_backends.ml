@@ -195,15 +195,10 @@ let budget_tests =
    consumes.  The values were generated before the machines shared one
    explorer and must not move. *)
 let pin_programs =
-  let catalog =
-    Litmus.Catalog.concurrent_programs
-    @ List.map (fun g -> g.Litmus.Catalog.g) Litmus.Catalog.grid_programs
-  in
-  List.fold_left
-    (fun acc (c : Litmus.Catalog.concurrent) ->
-      if List.mem_assoc c.Litmus.Catalog.cname acc then acc
-      else acc @ [ (c.Litmus.Catalog.cname, c.Litmus.Catalog.threads) ])
-    [] catalog
+  List.map
+    (fun (c : Litmus.Catalog.concurrent) ->
+      (c.Litmus.Catalog.cname, c.Litmus.Catalog.threads))
+    Litmus.Catalog.litmus_programs
   @ [ ("spin", spin) ]
 
 let pinned =
@@ -278,6 +273,31 @@ let pinned =
     ("spin", "armv8", Some 500, (500, true, true, 5, "9ad7c988"));
   ]
 
+(* PS_na rows, with the DRF-PF race flag, the certification calls and
+   the certification-memo hits of a fresh exploration; generated before
+   PS_na states got their packed identity (Promising.State_id), and
+   must not move either. *)
+let pinned_ps =
+  [
+    ("SB-rlx", None, (136, false, false, 4, "d5228c46"), (true, 2576, 2220));
+    ("MP-rel-acq", None, (200, false, false, 2, "b72007eb"), (false, 2154, 1800));
+    ("LB-rlx", None, (157, false, false, 4, "d5228c46"), (true, 2638, 2302));
+    ("LB-data", None, (157, false, false, 1, "6c9c8c61"), (true, 2638, 2302));
+    ("Ex-5.1", None, (647, true, false, 5, "06fcbcef"), (true, 6547, 5329));
+    ("WW-race", None, (1901, true, false, 2, "11e8e875"), (true, 43654, 29110));
+    ("RW-race", None, (216, true, false, 4, "aa4cfbf2"), (true, 1431, 1215));
+    ("2+2W-rlx", None, (3824, false, false, 9, "6c452ece"), (true, 163229, 160442));
+    ("MP-fences", None, (290, false, false, 2, "b72007eb"), (true, 3088, 2636));
+    ("SB-sc-fence", None, (208, false, false, 3, "e3d89791"), (true, 3968, 3158));
+    ("MP-rlx", None, (74, false, false, 3, "a9f61d80"), (true, 1112, 967));
+    ("IRIW-rlx", None, (3461, false, false, 16, "4ca45a70"), (true, 67690, 67446));
+    ("R-rlx", None, (2414, false, false, 14, "f45f368a"), (true, 76842, 75690));
+    ("S-rlx", None, (2698, false, false, 14, "f45f368a"), (true, 83314, 82193));
+    ("WRC-rlx", None, (745, false, false, 8, "956872ff"), (true, 13744, 13454));
+    ("CoRR-rlx", None, (49, false, false, 3, "458430ee"), (true, 479, 419));
+    ("spin", Some 500, (500, false, true, 0, "99914b93"), (true, 5089, 4214));
+  ]
+
 let pinned_strict =
   [
     ("SB-rlx", None, [ "Y"; "Z" ]);
@@ -314,6 +334,22 @@ let pin_row (r : B.result) =
       B.Behavior_set.cardinal r.B.behaviors,
       String.sub (Digest.to_hex digest) 0 8 )
 
+let render_ps expected (weak_races, cert_calls, memo_hits) =
+  Printf.sprintf "%s, weak_races=%b, %d cert calls, %d memo hits" expected
+    weak_races cert_calls memo_hits
+
+let pin_row_ps (r : Promising.Machine.result) =
+  let module M = Promising.Machine in
+  render_ps
+    (pin_row
+       {
+         B.behaviors = r.M.behaviors;
+         races = r.M.races;
+         truncated = r.M.truncated;
+         states = r.M.states;
+       })
+    (r.M.weak_races, r.M.cert_calls, r.M.memo_hits)
+
 let pin_tests =
   [
     test "state counts and behavior sets are pinned" (fun () ->
@@ -325,6 +361,25 @@ let pin_tests =
               (prog ^ " under " ^ backend)
               (render expected) (pin_row r))
           pinned);
+    test
+      "PS_na state counts, behavior sets, cert calls and memo hits are pinned"
+      (fun () ->
+        List.iter
+          (fun (prog, max_states, expected, extra) ->
+            let params =
+              Option.map
+                (fun m -> { Promising.Thread.default_params with max_states = m })
+                max_states
+            in
+            let r =
+              Promising.Machine.explore ?params
+                (threads (List.assoc prog pin_programs))
+            in
+            Alcotest.(check string)
+              (prog ^ " under ps")
+              (render_ps (render expected) extra)
+              (pin_row_ps r))
+          pinned_ps);
     test "SC strict-race locations are pinned" (fun () ->
         List.iter
           (fun (prog, max_states, locs) ->

@@ -16,6 +16,7 @@ let () =
       ("adequacy", Test_adequacy.suite);
       ("golden", Test_golden.suite);
       ("diffcore", Test_diffcore.suite);
+      ("psdiff", Test_psdiff.suite);
       ("properties", Test_properties.suite);
       ("analysis", Test_analysis.suite);
       ("service", Test_service.suite);

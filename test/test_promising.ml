@@ -290,3 +290,52 @@ let sc_fences =
   ]
 
 let suite = suite @ sc_fences
+
+(* A memo context shared across explorations under differing params
+   must keep their certification verdicts apart: every result equals a
+   fresh-memo run of the same exploration (memo hits excepted — a
+   warm memo hits more). *)
+let memo_sharing =
+  (* LB whose promise takes four steps to certify: fuel 2 loses ⟨1 ∥ 1⟩ *)
+  let lb =
+    "a = X.load(rlx); b = 1; c = b; Y.store(rlx,c); return a ||| \
+     d = Y.load(rlx); X.store(rlx,d); return d"
+  in
+  let programs = [ lb; "X.store(rlx,1); return 0 ||| a = X.load(rlx); return a" ] in
+  let fuel24 = { params with Promising.Thread.max_states = 400 } in
+  let fuel2 = { fuel24 with Promising.Thread.cert_fuel = 2 } in
+  let variants =
+    [ fuel24; fuel2;
+      { fuel24 with Promising.Thread.promise_budget = 2 };
+      { fuel2 with Promising.Thread.promise_budget = 2 } ]
+  in
+  let render (r : M.result) =
+    Fmt.str "%d states, truncated=%b, races=%b, weak=%b, %d cert calls, %a"
+      r.M.states r.M.truncated r.M.races r.M.weak_races r.M.cert_calls
+      M.pp_behaviors r.M.behaviors
+  in
+  [
+    test "one memo shared across params = fresh memos" (fun () ->
+        let shared = M.make_memo () in
+        List.iter
+          (fun params ->
+            List.iter
+              (fun src ->
+                let progs = Parser.threads_of_string src in
+                Alcotest.(check string)
+                  (M.params_fingerprint params ^ " " ^ src)
+                  (render (M.explore ~params progs))
+                  (render (M.explore ~params ~memo:shared progs)))
+              programs)
+          (variants @ List.rev variants);
+        let lb = Parser.threads_of_string lb in
+        check_bool "fuel 2 and fuel 24 disagree on LB" false
+          (render (M.explore ~params:fuel24 lb)
+          = render (M.explore ~params:fuel2 lb)));
+    test "the default params fingerprint is pinned (seqd cache keys)"
+      (fun () ->
+        Alcotest.(check string) "fingerprint" "0,1,2;1;false;1;24;true|"
+          (M.params_fingerprint params));
+  ]
+
+let suite = suite @ memo_sharing
