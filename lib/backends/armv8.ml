@@ -30,7 +30,7 @@
     not exhibited; MP-rlx and SB are.  It is also not multi-copy-atomic
     (stale reads are per-thread), so IRIW-style outcomes are permitted —
     weaker than real ARMv8, which is OMCA; the E15 grid documents this.
-    Race detection is {!Hb}'s, the search {!Explore}'s. *)
+    Race detection is {!Hb}'s, the search {!Promising.Explore}'s. *)
 
 open Lang
 
@@ -48,7 +48,7 @@ type state = {
   hb : Hb.t;
 }
 
-let set_nth = Explore.set_nth
+let set_nth = Promising.Explore.set_nth
 let init_msg = { v = Value.zero; view = Loc.Map.empty }
 let hist_of st x = Loc.Map.find_default ~default:[ init_msg ] x st.hist
 let newest st x = List.length (hist_of st x) - 1
@@ -201,7 +201,7 @@ let successors (values : Value.t list) (st : state) (tid : int) =
 
 let terminal st =
   if List.for_all (fun b -> b = []) st.bufs then
-    Explore.returned st.progs st.outs
+    Promising.Explore.returned st.progs st.outs
   else None
 
 module State_key = struct
@@ -236,7 +236,7 @@ module State_key = struct
             if c <> 0 then c else Hb.compare s1.hb s2.hb
 end
 
-include Explore.Make (struct
+include Promising.Explore.Make (struct
   let name = "armv8"
 
   type nonrec state = state
@@ -245,5 +245,9 @@ include Explore.Make (struct
   let successors = successors
   let terminal = terminal
   let raced st = Hb.raced st.hb
+
+  type key = state
+
+  let key st = st
   let compare = State_key.compare
 end)

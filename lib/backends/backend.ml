@@ -3,13 +3,13 @@
 
 open Lang
 
-type behavior = Promising.Machine.behavior =
+type behavior = Promising.Explore.behavior =
   | Ret of (Value.t * Value.t list) list
   | Bot
 
-module Behavior_set = Promising.Machine.Behavior_set
+module Behavior_set = Promising.Explore.Behavior_set
 
-type result = {
+type result = Promising.Explore.result = {
   behaviors : Behavior_set.t;
   races : bool;
   truncated : bool;
@@ -26,9 +26,6 @@ module type MACHINE = sig
     Stmt.t list ->
     result
 end
-
-let default_values = [ Value.Int 0; Value.Int 1; Value.Int 2 ]
-let default_max_states = 200_000
 
 let refines ~(src : result) ~(tgt : result) : bool =
   Promising.Machine.refines ~src:src.behaviors ~tgt:tgt.behaviors

@@ -11,25 +11,27 @@
     - [armv8] — ARMv8-flavoured local reordering ({!Armv8});
     - [ps] — the paper's PS_na promising machine ({!Promising.Machine}).
 
-    All backends share {!Promising.Machine.Behavior_set}, so behavior
-    sets from different models compare directly — that is what the E15
-    differential grid and the SC ⊆ TSO ⊆ ARMv8 inclusion property are
-    built on.  The interleaving machines ([sc], [tso], [armv8]) are one
-    search over different step relations ({!Explore}).  See
-    docs/BACKENDS.md. *)
+    All backends share {!Promising.Explore}'s behavior type, behavior set
+    and result record, so behavior sets from different models compare
+    directly — that is what the E15 differential grid and the
+    SC ⊆ TSO ⊆ ARMv8 inclusion property are built on.  Every machine is
+    one search over a different step relation: [sc], [tso], [armv8] and
+    PS_na are each a {!Promising.Explore.STEP} of {!Promising.Explore.Make}
+    ([catchfire] is derived from [sc]'s result).  See docs/BACKENDS.md. *)
 
 open Lang
 
-(** Re-export of {!Promising.Machine.behavior}: per-thread return value
+(** Re-export of {!Promising.Explore.behavior}: per-thread return value
     and output trace, or ⊥ for a UB run. *)
-type behavior = Promising.Machine.behavior =
+type behavior = Promising.Explore.behavior =
   | Ret of (Value.t * Value.t list) list
   | Bot
 
-module Behavior_set = Promising.Machine.Behavior_set
+module Behavior_set = Promising.Explore.Behavior_set
 
-(** What every backend's exploration reports. *)
-type result = {
+(** Re-export of {!Promising.Explore.result}: what every backend's
+    exploration reports. *)
+type result = Promising.Explore.result = {
   behaviors : Behavior_set.t;
   races : bool;  (** some explored execution contained a data race *)
   truncated : bool;  (** [max_states] hit: the behavior set may be partial *)
@@ -39,8 +41,9 @@ type result = {
 (** The signature every machine implements.  [explore] enumerates the
     behaviors of a concurrent program (one statement per thread) over
     [values] (the finite choice/read domain), visiting at most
-    [max_states] distinct states (beyond that the result is marked
-    [truncated]).  [budget] (default {!Engine.Budget.unlimited}, a no-op)
+    [max_states] distinct states (default
+    {!Promising.Explore.default_max_states}; beyond that the result is
+    marked [truncated]).  [budget] (default {!Engine.Budget.unlimited}, a no-op)
     is charged one state per distinct state; on exhaustion
     {!Engine.Budget.Exhausted} escapes, to be caught at a verdict
     boundary. *)
@@ -54,11 +57,6 @@ module type MACHINE = sig
     Stmt.t list ->
     result
 end
-
-(** Default exploration parameters, shared by every backend. *)
-val default_values : Value.t list
-
-val default_max_states : int
 
 (** [refines ~src ~tgt]: every target behavior is ⊑-matched by a source
     behavior; a source ⊥ matches everything (Def 5.3 lifted to any

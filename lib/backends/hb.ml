@@ -79,7 +79,7 @@ let empty_meta n =
 
 let get_meta h x = Loc.Map.find_default ~default:(empty_meta h.n) x h.meta
 let epoch_ok e c = match e with None -> true | Some ep -> Vclock.epoch_le ep c
-let set_nth l i v = List.mapi (fun j x -> if j = i then v else x) l
+let set_nth = Promising.Explore.set_nth
 
 (* Record a race check's outcome: [racy] under the access's own mode,
    [strict] as if it were non-atomic. *)

@@ -1,10 +1,12 @@
 (** The backend registry: every machine behind {!Backend.MACHINE}, by
     name (see registry.mli). *)
 
-(** PS_na as a backend: {!Promising.Machine} behind the shared
+(** PS_na as a backend: {!Promising.Machine.explore}, itself a
+    {!Promising.Explore.STEP} of the shared explorer, behind the shared
     signature.  [values] selects nothing there (PS_na reads from
     messages, and [choose()] already ranges over the machine's fixed
-    domain); [max_states] and [budget] are threaded through. *)
+    domain); [max_states] becomes [params.max_states] and [budget] is
+    threaded through. *)
 module Ps_machine : Backend.MACHINE = struct
   let name = "ps"
 

@@ -2,7 +2,9 @@
     name.  CLI drivers validate [--backend] against {!names} (via
     {!Engine.Cliopts.validate_choice}) and dispatch via {!find}. *)
 
-(** The paper's PS_na machine ({!Promising.Machine}). *)
+(** The paper's PS_na machine ({!Promising.Machine.explore} under its
+    default params; [max_states] sets [params.max_states], [values] is
+    ignored). *)
 module Ps_machine : Backend.MACHINE
 
 (** All machines, in strength order: ["sc"] ({!Sc}), ["catchfire"]

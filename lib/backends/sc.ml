@@ -4,7 +4,7 @@
     (and RMW) accesses synchronize via per-location release clocks;
     relaxed accesses do not synchronize but also do not race (only
     conflicting pairs with at least one non-atomic access race, §5).
-    The search is {!Explore}'s. *)
+    The search is {!Promising.Explore}'s. *)
 
 open Lang
 
@@ -15,7 +15,7 @@ type state = {
   hb : Hb.t;
 }
 
-let set_nth = Explore.set_nth
+let set_nth = Promising.Explore.set_nth
 let read_mem st x = Loc.Map.find_default ~default:Value.zero x st.mem
 
 let init progs =
@@ -72,15 +72,19 @@ module State_key = struct
         if c <> 0 then c else Hb.compare_strict s1.hb s2.hb
 end
 
-include Explore.Make (struct
+include Promising.Explore.Make (struct
   let name = "sc"
 
   type nonrec state = state
 
   let init = init
   let successors = successors
-  let terminal st = Explore.returned st.progs st.outs
+  let terminal st = Promising.Explore.returned st.progs st.outs
   let raced st = Hb.raced st.hb
+
+  type key = state
+
+  let key st = st
   let compare = State_key.compare
 end)
 

@@ -15,7 +15,7 @@
 
     Terminal behaviors require every buffer to be empty: a run ends
     only once all its stores have committed.  Race detection is {!Hb}'s,
-    the search {!Explore}'s. *)
+    the search {!Promising.Explore}'s. *)
 
 open Lang
 
@@ -27,7 +27,7 @@ type state = {
   hb : Hb.t;
 }
 
-let set_nth = Explore.set_nth
+let set_nth = Promising.Explore.set_nth
 let read_mem st x = Loc.Map.find_default ~default:Value.zero x st.mem
 
 (* Newest own-buffer entry for [x], if any. *)
@@ -123,7 +123,7 @@ let successors (values : Value.t list) (st : state) (tid : int) =
 (* A run terminates only once every buffer has committed. *)
 let terminal st =
   if List.for_all (fun b -> b = []) st.bufs then
-    Explore.returned st.progs st.outs
+    Promising.Explore.returned st.progs st.outs
   else None
 
 module State_key = struct
@@ -149,7 +149,7 @@ module State_key = struct
           if c <> 0 then c else Hb.compare s1.hb s2.hb
 end
 
-include Explore.Make (struct
+include Promising.Explore.Make (struct
   let name = "tso"
 
   type nonrec state = state
@@ -158,5 +158,9 @@ include Explore.Make (struct
   let successors = successors
   let terminal = terminal
   let raced st = Hb.raced st.hb
+
+  type key = state
+
+  let key st = st
   let compare = State_key.compare
 end)

@@ -9,7 +9,7 @@
     stay FIFO and whose loads happen to read the newest message — the
     SC ⊆ TSO ⊆ ARMv8 chain the E15 grid asserts per row.  The classic
     separation witness is SB: the both-read-zero outcome is forbidden
-    under SC and allowed here.  Explored by {!Explore}; see
+    under SC and allowed here.  Explored by {!Promising.Explore}; see
     docs/BACKENDS.md. *)
 
 include Backend.MACHINE

@@ -11,12 +11,14 @@
       simple refinement (Def 2.1–2.4), oracles and advanced refinement up
       to commitment sets (§3, Fig 2/Fig 6);
     - {!Ps}: PS_na — the promising semantics with non-atomic accesses
-      (§5, Fig 5): views, messages, promises, certification, bounded
-      exhaustive exploration, and behavioral refinement (Def 5.2/5.3);
+      (§5, Fig 5): views, messages, promises, certification, behavioral
+      refinement (Def 5.2/5.3), and the one bounded explorer
+      ([Ps.Explore]) that PS_na and every other machine run on;
     - {!Backends}: the memory-model zoo behind one signature — SC
       interleaving, the C/C++11-style catch-fire semantics, x86-TSO and
-      ARMv8 machines (one bounded explorer, one happens-before race
-      detector), plus the PS_na adapter (docs/BACKENDS.md);
+      ARMv8 machines (each a step relation for [Ps.Explore], one
+      happens-before race detector), plus the PS_na adapter
+      (docs/BACKENDS.md);
     - {!Baselines}: the DRF-guarantee checks (E7);
     - {!Opt}: the certified optimizer (§4, App D): SLF, LLF, DSE, LICM,
       and per-run translation validation in SEQ;

@@ -10,7 +10,8 @@
     Explored states are deduplicated up to order-isomorphism of the
     per-location timestamp orders (timestamp values never matter beyond
     their relative order and attachment structure), which keeps litmus
-    explorations finite. *)
+    explorations finite.  The search is {!Explore}'s, shared with every
+    other machine. *)
 
 open Lang
 
@@ -18,26 +19,13 @@ type state = { threads : Thread.t list; memory : Memory.t }
 
 (** A PS_na behavior: per-thread return value and output (system-call)
     sequence, or ⊥ for a UB run (Def 5.2 + footnote 10). *)
-type behavior =
+type behavior = Explore.behavior =
   | Ret of (Value.t * Value.t list) list
   | Bot
 
-let compare_behavior b1 b2 =
-  match b1, b2 with
-  | Bot, Bot -> 0
-  | Bot, Ret _ -> -1
-  | Ret _, Bot -> 1
-  | Ret l1, Ret l2 ->
-    List.compare
-      (fun (v1, o1) (v2, o2) ->
-        let c = Value.compare v1 v2 in
-        if c <> 0 then c else List.compare Value.compare o1 o2)
-      l1 l2
+let compare_behavior = Explore.compare_behavior
 
-module Behavior_set = Set.Make (struct
-  type t = behavior
-  let compare = compare_behavior
-end)
+module Behavior_set = Explore.Behavior_set
 
 (* ------------------------------------------------------------------ *)
 (* Certification                                                        *)
@@ -146,17 +134,6 @@ type result = {
   cert_calls : int;  (** certification calls, memo hits included *)
 }
 
-let terminal_behavior (s : state) : behavior option =
-  let rec go acc = function
-    | [] -> Some (Ret (List.rev acc))
-    | (th : Thread.t) :: rest ->
-      (match Prog.step th.Thread.prog with
-       | Prog.Terminated v when th.Thread.promises = [] ->
-         go ((v, List.rev th.Thread.outs) :: acc) rest
-       | _ -> None)
-  in
-  go [] s.threads
-
 let state_has_race (s : state) : bool =
   List.exists
     (fun (th : Thread.t) ->
@@ -187,10 +164,6 @@ let state_has_weak_race (s : state) : bool =
       | _ -> false)
     s.threads
 
-(** Exhaustive bounded exploration of all PS_na behaviors of a concurrent
-    program.  [until_bot] stops as soon as a ⊥ behavior is recorded — sound
-    when the caller only needs the behaviors of a refinement {e source}
-    (⊥ subsumes everything). *)
 let rec stmt_has_fence = function
   | Stmt.Fence _ -> true
   | Stmt.Seq (a, b) | Stmt.If (_, a, b) -> stmt_has_fence a || stmt_has_fence b
@@ -199,6 +172,13 @@ let rec stmt_has_fence = function
   | Stmt.Fadd _ | Stmt.Choose _ | Stmt.Freeze _ | Stmt.Print _ | Stmt.Abort
   | Stmt.Return _ -> false
 
+(* A queued state with its interned memory and thread ids. *)
+type node = { s : state; m : State_id.memory; tids : int array }
+
+(** Exhaustive bounded exploration of all PS_na behaviors of a concurrent
+    program, as a {!Explore.STEP}.  [until_bot] stops once the state whose
+    step reached ⊥ has been expanded — sound when the caller only needs the
+    behaviors of a refinement {e source} (⊥ subsumes everything). *)
 let explore ?(params = Thread.default_params) ?(until_bot = false) ?memo
     ?(budget = Engine.Budget.unlimited) (progs : Stmt.t list) : result =
   let params =
@@ -221,95 +201,87 @@ let explore ?(params = Thread.default_params) ?(until_bot = false) ?memo
     | None -> (State_id.create (), Hashtbl.create 1024)
   in
   let cert = { params; ids; verdicts; budget; calls = 0; hits = 0 } in
-  let locs =
-    let fps = List.map Stmt.footprint progs in
-    let all =
-      List.fold_left
-        (fun acc (fp : Stmt.footprint) ->
-          Loc.Set.union acc (Loc.Set.union fp.Stmt.na fp.Stmt.at))
-        Loc.Set.empty fps
-    in
-    Loc.Set.elements all
-  in
-  let init_state =
-    {
-      threads = List.map (fun s -> Thread.init (Prog.init s)) progs;
-      memory = Memory.init locs;
-    }
-  in
   (* promises only make sense at locations the promising thread writes *)
   let writable =
     List.map
       (fun s -> Loc.Set.elements (Thread.writable_locs Loc.Set.empty s))
       progs
   in
-  let visited = Hashtbl.create 4096 in
-  let behaviors = ref Behavior_set.empty in
-  let races = ref false in
-  let weak_races = ref false in
-  let truncated = ref false in
-  (* queued states carry their interned memory and thread ids *)
-  let queue = Queue.create () in
-  let push s m tids =
-    let k = State_id.state_key m tids in
-    if not (Hashtbl.mem visited k) then
-      if Hashtbl.length visited >= params.Thread.max_states then
-        truncated := true
-      else begin
-        Engine.Budget.spend_state budget;
-        Hashtbl.add visited k ();
-        Queue.push (s, m, tids) queue
-      end
+  let module E = Explore.Make (struct
+    let name = "ps"
+
+    type state = node
+
+    let init progs =
+      let locs =
+        List.fold_left
+          (fun acc s ->
+            let fp = Stmt.footprint s in
+            Loc.Set.union acc (Loc.Set.union fp.Stmt.na fp.Stmt.at))
+          Loc.Set.empty progs
+      in
+      let s =
+        {
+          threads = List.map (fun s -> Thread.init (Prog.init s)) progs;
+          memory = Memory.init (Loc.Set.elements locs);
+        }
+      in
+      let m = State_id.memory ids s.memory in
+      { s; m; tids = Array.of_list (List.map (State_id.thread ids m) s.threads) }
+
+    (* Fig 5's machine step: a thread step, kept only if the thread
+       certifies afterwards. *)
+    let successors _ { s; m; tids } tid =
+      let th = List.nth s.threads tid in
+      List.filter_map
+        (function
+          | Thread.Failure -> Some `Ub
+          | Thread.Step (th', mem', _) ->
+            let m' = if mem' == s.memory then m else State_id.memory ids mem' in
+            let id' = State_id.thread ids m' th' in
+            if not (certify cert mem' m' th' id') then None
+            else begin
+              let threads = Explore.set_nth s.threads tid th' in
+              let tids' =
+                if m' == m then Array.copy tids
+                else Array.of_list (List.map (State_id.thread ids m') threads)
+              in
+              tids'.(tid) <- id';
+              Some (`Next { s = { threads; memory = mem' }; m = m'; tids = tids' })
+            end)
+        (Thread.steps params s.memory th
+        @ Thread.promise_steps params (List.nth writable tid) s.memory th
+        @ Thread.lower_steps s.memory th)
+
+    (* a thread with outstanding promises has not finished *)
+    let terminal { s; _ } =
+      if List.for_all (fun (th : Thread.t) -> th.Thread.promises = []) s.threads
+      then
+        Explore.returned
+          (List.map (fun (th : Thread.t) -> th.Thread.prog) s.threads)
+          (List.map (fun (th : Thread.t) -> th.Thread.outs) s.threads)
+      else None
+
+    let raced n = state_has_race n.s
+
+    type key = string
+
+    let key n = State_id.state_key n.m n.tids
+    let compare = String.compare
+  end) in
+  let r, weak_races =
+    E.fold ~max_states:params.Thread.max_states ~budget ~until_ub:until_bot
+      ~init:false
+      ~f:(fun w n -> w || state_has_weak_race n.s)
+      progs
   in
-  (let m = State_id.memory ids init_state.memory in
-   push init_state m
-     (Array.of_list (List.map (State_id.thread ids m) init_state.threads)));
-  let stop = ref false in
-  while (not !stop) && not (Queue.is_empty queue) do
-    Engine.Budget.check budget;
-    let s, m, tids = Queue.pop queue in
-    if state_has_race s then races := true;
-    if state_has_weak_race s then weak_races := true;
-    (match terminal_behavior s with
-     | Some b -> behaviors := Behavior_set.add b !behaviors
-     | None -> ());
-    List.iteri
-      (fun tid (th : Thread.t) ->
-        let outcomes =
-          Thread.steps params s.memory th
-          @ Thread.promise_steps params (List.nth writable tid) s.memory th
-          @ Thread.lower_steps s.memory th
-        in
-        List.iter
-          (function
-            | Thread.Failure ->
-              behaviors := Behavior_set.add Bot !behaviors;
-              if until_bot then stop := true
-            | Thread.Step (th', mem', _) ->
-              let m' = if mem' == s.memory then m else State_id.memory ids mem' in
-              let id' = State_id.thread ids m' th' in
-              if certify cert mem' m' th' id' then begin
-                let threads =
-                  List.mapi (fun i t -> if i = tid then th' else t) s.threads
-                in
-                let tids' =
-                  if m' == m then Array.copy tids
-                  else
-                    Array.of_list (List.map (State_id.thread ids m') threads)
-                in
-                tids'.(tid) <- id';
-                push { threads; memory = mem' } m' tids'
-              end)
-          outcomes)
-      s.threads
-  done;
   Option.iter (fun m -> m.hits <- m.hits + cert.hits) memo;
   {
-    behaviors = !behaviors;
-    truncated = !truncated;
-    states = Hashtbl.length visited;
-    races = !races;
-    weak_races = !weak_races;
+    behaviors = r.Explore.behaviors;
+    truncated = r.Explore.truncated;
+    states = r.Explore.states;
+    races = r.Explore.races;
+    weak_races;
     memo_hits = cert.hits;
     cert_calls = cert.calls;
   }

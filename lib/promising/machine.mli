@@ -1,25 +1,27 @@
 (** PS_na machine states, certification, exhaustive bounded exploration,
     and behavioral refinement (§5, Def 5.2/5.3).
 
-    Exploration deduplicates states up to order-isomorphism of the
-    per-location timestamp orders, by their packed identity
-    ({!State_id}); promise steps, non-atomic write batches,
-    and certification depth are bounded by {!Thread.params} (see
-    DESIGN.md). *)
+    Exploration is {!Explore.Make}'s search, the one every machine
+    shares: PS_na's step relation is a thread step kept only if the
+    thread then certifies (Fig 5), and states are deduplicated up to
+    order-isomorphism of the per-location timestamp orders, by their
+    packed identity ({!State_id}); promise steps, non-atomic write
+    batches, and certification depth are bounded by {!Thread.params}
+    (see DESIGN.md). *)
 
 open Lang
 
 type state = { threads : Thread.t list; memory : Memory.t }
 
 (** A behavior: per-thread return value and output sequence, or ⊥ for a UB
-    run (Def 5.2 + footnote 10). *)
-type behavior =
+    run (Def 5.2 + footnote 10) — {!Explore}'s, shared by every machine. *)
+type behavior = Explore.behavior =
   | Ret of (Value.t * Value.t list) list
   | Bot
 
 val compare_behavior : behavior -> behavior -> int
 
-module Behavior_set : Set.S with type elt = behavior
+module Behavior_set = Explore.Behavior_set
 
 (** Fingerprint of the parameters certification verdicts depend on; a
     memo context keeps one verdict table per fingerprint, so explorations
@@ -55,9 +57,10 @@ type result = {
 }
 
 (** Exhaustive bounded exploration of all PS_na behaviors of a concurrent
-    program (one statement per thread).  [until_bot] stops as soon as ⊥ is
-    recorded — sound when only the behaviors of a refinement {e source} are
-    needed (⊥ subsumes everything).  [memo] shares certification verdicts
+    program (one statement per thread).  [until_bot] stops once the state
+    whose step reached ⊥ has been expanded ({!Explore.Make}'s [until_ub]) —
+    sound when only the behaviors of a refinement {e source} are needed
+    (⊥ subsumes everything).  [memo] shares certification verdicts
     with other explorations using the same context.  [budget] (default
     unlimited, a no-op) is charged one state per distinct canonical state
     and polled along the search, including inside certification; on

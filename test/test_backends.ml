@@ -380,6 +380,15 @@ let pin_tests =
               (render_ps (render expected) extra)
               (pin_row_ps r))
           pinned_ps);
+    test "the registry's ps adapter reproduces the PS_na pins" (fun () ->
+        let (module M : B.MACHINE) = Option.get (Registry.find "ps") in
+        List.iter
+          (fun (prog, max_states, expected, _) ->
+            let r = M.explore ?max_states (threads (List.assoc prog pin_programs)) in
+            Alcotest.(check string)
+              (prog ^ " under the ps adapter")
+              (render expected) (pin_row r))
+          pinned_ps);
     test "SC strict-race locations are pinned" (fun () ->
         List.iter
           (fun (prog, max_states, locs) ->

@@ -141,12 +141,61 @@ let qcheck_games =
 
 let loop_cfg = { gen_cfg with Gen.allow_loops = true }
 
-let qcheck_enumeration =
-  QCheck.Test.make
-    ~name:"memoized behavior enumeration == reference on random programs"
-    ~count:20
+(* Atomic accesses: each is an environment step of SEQ, branching over
+   the values read (and, for acquire/release, over permissions and
+   memories). *)
+let rec atomic_accesses (s : Stmt.t) =
+  match s with
+  | Stmt.Load (_, m, _) -> if Mode.read_is_atomic m then 1 else 0
+  | Stmt.Store (m, _, _) -> if Mode.write_is_atomic m then 1 else 0
+  | Stmt.Cas _ | Stmt.Fadd _ | Stmt.Fence _ -> 1
+  | Stmt.Seq (a, b) | Stmt.If (_, a, b) -> atomic_accesses a + atomic_accesses b
+  | Stmt.While (_, a) -> atomic_accesses a
+  | _ -> 0
+
+(* [Gen]'s bounded counting loop draws its counter from the registers
+   the body assigns, so a body can reset its own counter, and the
+   unmemoized reference then enumerates millions of configurations.  The
+   test rewrites every counting loop before comparing: it gets a fresh
+   counter register (the body's reads and writes of the old one stay),
+   and it runs once instead of twice when it sits in a loop that runs
+   twice or its body makes more than one atomic access, because a second
+   iteration multiplies the reference's paths by the branching of every
+   atomic access in the body (2x2 nests and bodies with three of them
+   still took seconds to minutes).  [Gen] itself is left alone: its
+   output is golden-pinned and feeds the fuzz campaigns. *)
+let tame_loops (p : Stmt.t) : Stmt.t =
+  let next = ref 0 in
+  let not_gen s = Alcotest.failf "not a Gen counting loop: %a" Stmt.pp s in
+  let rec go outer (s : Stmt.t) : Stmt.t =
+    match s with
+    | Stmt.While
+        (Expr.Binop (Expr.Lt, Expr.Reg i, Expr.Const (Value.Int n)), body) ->
+      let n = if outer * n > 2 || atomic_accesses body > 1 then 1 else n in
+      let k = Reg.make (Printf.sprintf "k%d" !next) in
+      incr next;
+      let step = Stmt.Assign (k, Expr.Binop (Expr.Add, Expr.reg k, Expr.int 1)) in
+      let body =
+        match body with
+        | Stmt.Seq (b, Stmt.Assign (j, _)) when Reg.equal i j ->
+          Stmt.seq (go (outer * n) b) step
+        | Stmt.Assign (j, _) when Reg.equal i j -> step
+        | _ -> not_gen s
+      in
+      Stmt.seq (Stmt.Assign (k, Expr.int 0))
+        (Stmt.While (Expr.Binop (Expr.Lt, Expr.reg k, Expr.int n), body))
+    | Stmt.While _ -> not_gen s
+    | Stmt.Seq (a, b) -> Stmt.Seq (go outer a, go outer b)
+    | Stmt.If (e, a, b) -> Stmt.If (e, go outer a, go outer b)
+    | s -> s
+  in
+  go 1 p
+
+let qcheck_enumeration name =
+  QCheck.Test.make ~name ~count:20
     (stmt_arbitrary loop_cfg ~size:8)
     (fun p ->
+      let p = tame_loops p in
       let d = Domain.of_stmts [ p ] in
       let cfg = Seq_model.Config.make ~perm:(Domain.na_set d) (Prog.init p) in
       let fuel = (4 * Stmt.size p) + 16 in
@@ -157,10 +206,25 @@ let qcheck_enumeration =
       in
       Seq_model.Behavior.Set.equal slow fast)
 
+(* qcheck seeds whose programs ran away (minutes, gigabytes) before
+   [tame_loops]. *)
+let runaway_seeds = [ 100; 103; 160021211 ]
+
 let qcheck_suite =
   List.map
     (QCheck_alcotest.to_alcotest ~long:false)
-    [ qcheck_games; qcheck_enumeration ]
+    [
+      qcheck_games;
+      qcheck_enumeration
+        "memoized behavior enumeration == reference on random programs";
+    ]
+  @ List.map
+      (fun seed ->
+        QCheck_alcotest.to_alcotest ~long:false
+          ~rand:(Random.State.make [| seed |])
+          (qcheck_enumeration
+             (Printf.sprintf "seed %d: memoized enumeration == reference" seed)))
+      runaway_seeds
 
 (* --------------------------------------------------------------- *)
 (* Packed / Core layer contracts                                    *)

@@ -132,24 +132,30 @@ let test_e4_golden () =
   check_golden ~what:"E4 table" ~expected:golden_e4 ~actual
 
 (* E5 adequacy slice exactly as the default (non --full) bench run slices
-   it: every 4th transformation × the first 4 contexts. *)
+   it: every 4th transformation × the first 4 contexts.  Rendered with
+   its stats columns: the SEQ pair count and the PS_na state and
+   certification-memo counts of each row (its memo is row-local, so the
+   hits do not depend on scheduling).  The state column sees the source
+   explorations' early stop at ⊥ ([Machine.explore ~until_bot]):
+   unconditional-ub-hoist explores 36 states because its source stops
+   there. *)
 let golden_e5 =
-  {golden|transformation                   SEQ-adv   PS-refines  ok
-slf-basic                        true      true        ok
-reorder-na-ww-diff               true      true        ok
-read-before-write-elim           true      true        ok
-write-before-loop                false     false       ok
-irrelevant-load-intro            true      true        ok
-na-read-then-rel                 false     true        ok
-na-write-into-rel                true      true        ok
-slf-across-rlx-write             true      true        ok
-rlx-read-then-na-write           true      true        ok
-unconditional-ub-hoist           true      true        ok
-dse-across-rel-acq               false     true        ok
-na-write-into-acq-fence          true      true        ok
-rmw-identity                     true      true        ok
-sc-fence-identity                true      true        ok
-no-na-to-rlx-strengthening       false     true        ok
+  {golden|transformation                   SEQ-adv   PS-refines  ok                   pairs    states    hits
+slf-basic                        true      true        ok                   8        1027      9276
+reorder-na-ww-diff               true      true        ok                   64       2538      23906
+read-before-write-elim           true      true        ok                   8        602       4216
+write-before-loop                false     false       ok                   16       1536      20737
+irrelevant-load-intro            true      true        ok                   8        313       1808
+na-read-then-rel                 false     true        ok                   38       640       10259
+na-write-into-rel                true      true        ok                   24       1191      13104
+slf-across-rlx-write             true      true        ok                   9        1497      22354
+rlx-read-then-na-write           true      true        ok                   32       1191      12343
+unconditional-ub-hoist           true      true        ok                   2        36        24
+dse-across-rel-acq               false     true        ok                   66       3300      37123
+na-write-into-acq-fence          true      true        ok                   12       1045      9229
+rmw-identity                     true      true        ok                   5        222       3097
+sc-fence-identity                true      true        ok                   2        210       1385
+no-na-to-rlx-strengthening       false     true        ok                   16       493       3751
 -- 15 rows x 4 contexts, 0 adequacy violations
 |golden}
 
@@ -159,7 +165,7 @@ let test_e5_golden () =
   in
   let contexts = List.filteri (fun i _ -> i < 4) Litmus.Catalog.contexts in
   let actual =
-    Litmus.Matrix.render_e5 ~stats:false
+    Litmus.Matrix.render_e5 ~stats:true
       (Litmus.Adequacy.run ~jobs:2 ~contexts ~corpus ())
   in
   check_golden ~what:"E5 slice" ~expected:golden_e5 ~actual
